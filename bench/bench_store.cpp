@@ -1,12 +1,14 @@
 // Microbenchmarks for the embedded pattern store (extension #2 substrate):
 // upsert, point lookup, service scan, match-count updates, SQL round
-// trips, and snapshot persistence.
+// trips, and snapshot persistence — plus the read and merge paths of a
+// served fleet, on fleet-shaped patterns with a governor attached.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <filesystem>
 
 #include "bench_common.hpp"
+#include "core/governor.hpp"
 #include "store/pattern_store.hpp"
 #include "util/rng.hpp"
 
@@ -84,6 +86,99 @@ void BM_StoreLoadService(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_StoreLoadService);
+
+std::string fleet_service(std::size_t service) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "fleet-svc-%zu", service);
+  return buf;
+}
+
+/// A pattern shaped like the fleet stream's mined ones: 18 tokens, every
+/// other one a typed variable, ~670 bytes of token JSON and three
+/// ~90-byte examples.
+core::Pattern make_fleet_pattern(std::size_t service, std::size_t row,
+                                 std::size_t type_shift = 0) {
+  static const core::TokenType kTypes[] = {
+      core::TokenType::Time, core::TokenType::IPv4, core::TokenType::Integer,
+      core::TokenType::Hex,  core::TokenType::Url,  core::TokenType::Float};
+  char buf[128];
+  core::Pattern p;
+  p.service = fleet_service(service);
+  for (std::size_t t = 0; t < 18; ++t) {
+    core::PatternToken tok;
+    tok.is_space_before = t > 0;
+    tok.is_variable = t % 2 == 1;
+    if (tok.is_variable) {
+      tok.var_type = kTypes[(row + t + type_shift) % 6];
+      std::snprintf(buf, sizeof(buf), "v%zu", t);
+      tok.name = buf;
+    } else {
+      std::snprintf(buf, sizeof(buf), "w%zu-%zu", row, t);
+      tok.text = buf;
+    }
+    p.tokens.push_back(std::move(tok));
+  }
+  p.stats.match_count = 1;
+  p.stats.first_seen = 1600000000;
+  p.stats.last_matched = 1600000000;
+  for (std::size_t e = 0; e < 3; ++e) {
+    std::snprintf(buf, sizeof(buf),
+                  "2024-01-01T00:00:00Z host-%zu example %zu 10.0.0.1 0x1f "
+                  "42 https://example.test/a 1.5 done",
+                  row, e + type_shift);
+    p.examples.emplace_back(buf);
+  }
+  return p;
+}
+
+/// A store holding `services` services of 100 fleet-shaped rows each,
+/// with an accounting-only governor attached — serve's configuration
+/// when --mem-ceiling is off.
+struct FleetStore {
+  static constexpr std::size_t kServices = 8;
+  static constexpr std::size_t kRows = 100;
+  core::MemoryAccountant accountant;
+  core::Governor governor{core::GovernorPolicy{}, &accountant};
+  store::PatternStore store;
+
+  FleetStore() {
+    for (std::size_t s = 0; s < kServices; ++s) {
+      for (std::size_t r = 0; r < kRows; ++r) {
+        store.upsert_pattern(make_fleet_pattern(s, r));
+      }
+    }
+    store.attach_governor(&governor);
+  }
+  ~FleetStore() { store.attach_governor(nullptr); }
+};
+
+void BM_StoreLoadServiceGoverned(benchmark::State& state) {
+  FleetStore fleet;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fleet.store.load_service(
+        fleet_service(i++ % FleetStore::kServices)));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(FleetStore::kRows));
+}
+BENCHMARK(BM_StoreLoadServiceGoverned);
+
+void BM_StoreUpsertMergeGoverned(benchmark::State& state) {
+  // Re-upserts of stored rows: stats merge, examples already at the cap,
+  // and variable types that differ from the stored ones (a widen).
+  FleetStore fleet;
+  std::vector<core::Pattern> incoming;
+  for (std::size_t r = 0; r < FleetStore::kRows; ++r) {
+    incoming.push_back(make_fleet_pattern(r % FleetStore::kServices, r, 1));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    fleet.store.upsert_pattern(incoming[i++ % incoming.size()]);
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_StoreUpsertMergeGoverned);
 
 void BM_StoreRecordMatch(benchmark::State& state) {
   store::PatternStore pattern_store;

@@ -42,7 +42,10 @@ fi
 # while enforce() spills concurrently; governor_test's model-based race
 # case and the spill/reload WAL protocol are exactly what TSan is for,
 # and the SIGKILL spill-crash drill joins the failover drill under both
-# sanitizers).
+# sanitizers), and the store's token codec and delta ledger (the codec's
+# decoder parses bytes read back from snapshots, spill files and the WAL,
+# so its differential fuzz runs under ASan/UBSan; the ledger property test
+# drives spill/reload, reopen and standby replication).
 [ $# -gt 0 ] || set -- metrics_test thread_pool_test analyze_by_service_test \
   arena_test interner_test scan_into_equivalence_test wal_test \
   pattern_store_test bounded_queue_test serve_test serve_drain_test \
@@ -50,7 +53,7 @@ fi
   fault_sim_test differential_test simd_equivalence_test matchprog_test \
   evolution_test validation_test cluster_test cluster_proto_fuzz_test \
   cluster_failover_test governor_test spill_test governor_serve_test \
-  governance_test spill_crash_test
+  governance_test spill_crash_test token_codec_test ledger_property_test
 for t in "$@"; do
   "$BUILD/tests/$t"
 done

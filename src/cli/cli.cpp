@@ -548,15 +548,12 @@ int cmd_purge(const std::vector<std::string>& argv, std::istream&,
     return 1;
   }
   const std::int64_t below = args.get_int("below", 2);
-  // Collect doomed ids via SQL, then delete rows + examples.
+  // Collect doomed ids via SQL, then delete each through the store, which
+  // removes its examples too and keeps the partition ledger in step.
   auto result = store.database().exec("SELECT pid, match_count FROM patterns");
   std::size_t purged = 0;
   for (const store::Row& row : result.rows) {
-    if (row[1].as_int() < below) {
-      store.database().exec("DELETE FROM patterns WHERE pid = ?",
-                            {row[0]});
-      store.database().exec("DELETE FROM examples WHERE pid = ?",
-                            {row[0]});
+    if (row[1].as_int() < below && store.delete_pattern(row[0].as_text())) {
       ++purged;
     }
   }

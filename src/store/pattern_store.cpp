@@ -8,12 +8,12 @@
 #include <cstdio>
 #include <filesystem>
 #include <system_error>
+#include <unordered_map>
 
 #include "obs/eventlog.hpp"
 #include "obs/metrics.hpp"
 #include "obs/stage_timer.hpp"
 #include "obs/trace.hpp"
-#include "util/json.hpp"
 
 namespace seqrtg::store {
 
@@ -46,9 +46,21 @@ constexpr std::string_view kSpillMagic = "SQRTGSP1";
 /// Fixed per-row overhead charged by the partition-bytes estimator on top
 /// of the string payloads (column values, map/index nodes). The estimate
 /// only has to be consistent between the ledger and the audit recount —
-/// both use partition_bytes_locked — and monotone in real usage.
+/// both charge rows through the two functions below — and monotone in
+/// real usage.
 constexpr std::size_t kPatternRowOverheadBytes = 160;
 constexpr std::size_t kExampleRowOverheadBytes = 48;
+
+std::size_t pattern_row_bytes(std::string_view pid, std::string_view service,
+                              std::string_view ptext,
+                              std::string_view tokens) {
+  return kPatternRowOverheadBytes + pid.size() + service.size() +
+         ptext.size() + tokens.size();
+}
+
+std::size_t example_row_bytes(std::string_view message) {
+  return kExampleRowOverheadBytes + message.size();
+}
 
 /// Store operation counters; same family as the in-memory repository,
 /// distinguished by the backend label.
@@ -277,56 +289,64 @@ bool decode_upsert_ops(std::string_view blob,
   return r.ok;
 }
 
-}  // namespace
-
-std::string pattern_tokens_to_json(
-    const std::vector<core::PatternToken>& tokens) {
-  util::JsonArray arr;
-  for (const core::PatternToken& t : tokens) {
-    util::JsonObject obj;
-    obj["v"] = util::Json(t.is_variable);
-    obj["s"] = util::Json(t.is_space_before);
-    if (t.is_variable) {
-      obj["t"] = util::Json(core::token_type_tag(t.var_type));
-      obj["n"] = util::Json(t.name);
-    } else {
-      obj["x"] = util::Json(t.text);
-    }
-    arr.emplace_back(std::move(obj));
-  }
-  return util::Json(std::move(arr)).dump();
+std::vector<std::string> load_examples(Database& db, const std::string& pid) {
+  QueryResult r = db.exec(
+      "SELECT message FROM examples WHERE pid = ? ORDER BY seq", {pid});
+  std::vector<std::string> out;
+  out.reserve(r.rows.size());
+  for (const Row& row : r.rows) out.push_back(row[0].as_text());
+  return out;
 }
 
-std::optional<std::vector<core::PatternToken>> pattern_tokens_from_json(
-    std::string_view json) {
-  const util::JsonParseResult parsed = util::json_parse(json);
-  if (!parsed.ok() || !parsed.value.is_array()) return std::nullopt;
-  std::vector<core::PatternToken> out;
-  for (const util::Json& item : parsed.value.as_array()) {
-    if (!item.is_object()) return std::nullopt;
-    core::PatternToken t;
-    const util::Json* v = item.find("v");
-    const util::Json* s = item.find("s");
-    if (v == nullptr || !v->is_bool() || s == nullptr || !s->is_bool()) {
-      return std::nullopt;
-    }
-    t.is_variable = v->as_bool();
-    t.is_space_before = s->as_bool();
-    if (t.is_variable) {
-      t.var_type = core::token_type_from_tag(item.get_string("t", "string"));
-      if (t.var_type == core::TokenType::Literal) {
-        t.var_type = core::TokenType::String;
-      }
-      t.name = item.get_string("n", "");
-    } else {
-      const util::Json* x = item.find("x");
-      if (x == nullptr || !x->is_string()) return std::nullopt;
-      t.text = x->as_string();
-    }
-    out.push_back(std::move(t));
+/// A pattern row (kPatternColumns) and its examples, copied out under the
+/// store mutex; decode_rows turns them into Patterns, which readers do
+/// after releasing the mutex.
+struct StoredRow {
+  Row row;
+  std::vector<std::string> examples;
+};
+
+std::vector<StoredRow> take_rows(Database& db, QueryResult&& r) {
+  std::vector<StoredRow> out;
+  out.reserve(r.rows.size());
+  for (Row& row : r.rows) {
+    std::vector<std::string> examples = load_examples(db, row[0].as_text());
+    out.push_back(StoredRow{std::move(row), std::move(examples)});
   }
   return out;
 }
+
+/// Decodes stored rows into Patterns. A row that is unrecoverable (both
+/// the JSON token list and the display-text fallback fail to parse) is
+/// counted in seqrtg_store_corrupt_rows_total and skipped, so every
+/// reader skips it.
+std::vector<core::Pattern> decode_rows(std::vector<StoredRow>&& rows) {
+  std::vector<core::Pattern> out;
+  out.reserve(rows.size());
+  for (StoredRow& stored : rows) {
+    const Row& row = stored.row;
+    core::Pattern p;
+    if (auto tokens = pattern_tokens_from_json(row[3].as_text())) {
+      p.tokens = std::move(*tokens);
+    } else if (auto parsed = core::parse_pattern_text(row[2].as_text())) {
+      // Degraded fallback: rebuild from the display text (types become
+      // String but matching still works).
+      p.tokens = std::move(*parsed);
+    } else {
+      store_metrics().corrupt_rows.inc();
+      continue;
+    }
+    p.service = row[1].as_text();
+    p.stats.match_count = static_cast<std::uint64_t>(row[6].as_int());
+    p.stats.first_seen = row[7].as_int();
+    p.stats.last_matched = row[8].as_int();
+    p.examples = std::move(stored.examples);
+    out.push_back(std::move(p));
+  }
+  return out;
+}
+
+}  // namespace
 
 PatternStore::PatternStore() { create_schema(); }
 
@@ -341,53 +361,24 @@ void PatternStore::create_schema() {
   db_.exec("CREATE INDEX ON examples (pid)");
 }
 
-std::optional<core::Pattern> PatternStore::row_to_pattern(const Row& row) {
-  core::Pattern p;
-  p.service = row[1].as_text();
-  if (auto tokens = pattern_tokens_from_json(row[3].as_text())) {
-    p.tokens = std::move(*tokens);
-  } else if (auto parsed = core::parse_pattern_text(row[2].as_text())) {
-    // Degraded fallback: rebuild from the display text (types become
-    // String but matching still works).
-    p.tokens = std::move(*parsed);
-  } else {
-    store_metrics().corrupt_rows.inc();
-    return std::nullopt;
-  }
-  p.stats.match_count = static_cast<std::uint64_t>(row[6].as_int());
-  p.stats.first_seen = row[7].as_int();
-  p.stats.last_matched = row[8].as_int();
-  p.examples = load_examples(row[0].as_text());
-  return p;
-}
-
-std::vector<std::string> PatternStore::load_examples(const std::string& pid) {
-  QueryResult r = db_.exec(
-      "SELECT message FROM examples WHERE pid = ? ORDER BY seq", {pid});
-  std::vector<std::string> out;
-  out.reserve(r.rows.size());
-  for (const Row& row : r.rows) out.push_back(row[0].as_text());
-  return out;
-}
-
 std::vector<core::Pattern> PatternStore::load_service(
     std::string_view service) {
   if (obs::telemetry_enabled()) store_metrics().load_service.inc();
-  std::lock_guard lock(mutex_);
-  // Transparent reload: a spilled partition comes back through its spill
-  // file + a kOpReload group before the caller sees any rows.
-  ensure_resident_locked(service);
-  QueryResult r = db_.exec("SELECT " + std::string(kPatternColumns) +
-                               " FROM patterns WHERE service = ? "
-                               "ORDER BY pid",
-                           {Value(service)});
-  std::vector<core::Pattern> out;
-  out.reserve(r.rows.size());
-  for (const Row& row : r.rows) {
-    if (auto p = row_to_pattern(row)) out.push_back(std::move(*p));
+  std::vector<StoredRow> rows;
+  {
+    std::lock_guard lock(mutex_);
+    // Transparent reload: a spilled partition comes back through its spill
+    // file + a kOpReload group before the caller sees any rows.
+    ensure_resident_locked(service);
+    rows = take_rows(db_, db_.exec("SELECT " + std::string(kPatternColumns) +
+                                       " FROM patterns WHERE service = ? "
+                                       "ORDER BY pid",
+                                   {Value(service)}));
+    refresh_partition_locked(service);
   }
-  refresh_partition_locked(service);
-  return out;
+  // Decoding the token lists is most of a load's work; doing it unlocked
+  // keeps the other lanes' record_match/upsert from queueing behind it.
+  return decode_rows(std::move(rows));
 }
 
 std::vector<std::string> PatternStore::services() {
@@ -411,14 +402,18 @@ std::vector<std::string> PatternStore::services() {
 void PatternStore::apply_upsert(const core::Pattern& p) {
   const std::string pid = p.id();
   QueryResult existing = db_.exec(
-      "SELECT match_count, first_seen, last_matched, tokens FROM patterns "
-      "WHERE pid = ?",
+      "SELECT match_count, first_seen, last_matched, tokens, service "
+      "FROM patterns WHERE pid = ?",
       {pid});
   if (existing.rows.empty()) {
+    const std::string ptext = p.text();
+    std::string tokens_json = pattern_tokens_to_json(p.tokens);
+    std::size_t bytes =
+        pattern_row_bytes(pid, p.service, ptext, tokens_json);
     db_.exec(
         "INSERT INTO patterns VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-        {Value(pid), Value(p.service), Value(p.text()),
-         Value(pattern_tokens_to_json(p.tokens)),
+        {Value(pid), Value(p.service), Value(ptext),
+         Value(std::move(tokens_json)),
          Value(static_cast<std::int64_t>(p.token_count())),
          Value(p.complexity()),
          Value(static_cast<std::int64_t>(p.stats.match_count)),
@@ -427,7 +422,9 @@ void PatternStore::apply_upsert(const core::Pattern& p) {
     for (const std::string& e : p.examples) {
       db_.exec("INSERT INTO examples VALUES (?, ?, ?)",
                {Value(pid), Value(seq++), Value(e)});
+      bytes += example_row_bytes(e);
     }
+    partition_bytes_[p.service] += bytes;
     return;
   }
   const Row& row = existing.rows.front();
@@ -440,6 +437,9 @@ void PatternStore::apply_upsert(const core::Pattern& p) {
           : row[1].as_int();
   const std::int64_t last_matched =
       std::max(row[2].as_int(), p.stats.last_matched);
+  // The stored row's service owns the charge (it equals p.service unless
+  // two text+service concatenations share a hash).
+  std::size_t& bytes = partition_bytes_[row[4].as_text()];
   // Same text, different variable types (see widen_pattern_tokens): widen
   // the stored token list so the pattern matches the union. The stats and
   // tokens land in one UPDATE — one SELECT + one UPDATE per merge, not the
@@ -447,7 +447,9 @@ void PatternStore::apply_upsert(const core::Pattern& p) {
   std::string tokens_json = row[3].as_text();
   if (auto tokens = pattern_tokens_from_json(tokens_json)) {
     if (core::widen_pattern_tokens(*tokens, p.tokens)) {
-      tokens_json = pattern_tokens_to_json(*tokens);
+      std::string widened = pattern_tokens_to_json(*tokens);
+      bytes = bytes - tokens_json.size() + widened.size();
+      tokens_json = std::move(widened);
     }
   }
   db_.exec(
@@ -458,7 +460,7 @@ void PatternStore::apply_upsert(const core::Pattern& p) {
   // Merge examples up to the configured cap (see
   // PatternRepository::set_example_cap — must agree with the in-memory
   // backend's merge_pattern_into cap or the differential oracle diverges).
-  std::vector<std::string> current = load_examples(pid);
+  std::vector<std::string> current = load_examples(db_, pid);
   std::int64_t seq = static_cast<std::int64_t>(current.size());
   for (const std::string& e : p.examples) {
     if (current.size() >= example_cap()) break;
@@ -466,6 +468,7 @@ void PatternStore::apply_upsert(const core::Pattern& p) {
       db_.exec("INSERT INTO examples VALUES (?, ?, ?)",
                {Value(pid), Value(seq++), Value(e)});
       current.push_back(e);
+      bytes += example_row_bytes(e);
     }
   }
 }
@@ -487,12 +490,24 @@ std::optional<std::string> PatternStore::apply_record_match(
 }
 
 std::optional<std::string> PatternStore::apply_delete(const std::string& id) {
-  QueryResult existing =
-      db_.exec("SELECT service FROM patterns WHERE pid = ?", {id});
+  QueryResult existing = db_.exec(
+      "SELECT service, ptext, tokens FROM patterns WHERE pid = ?", {id});
   if (existing.rows.empty()) return std::nullopt;
+  const Row& row = existing.rows.front();
+  std::string service = row[0].as_text();
+  std::size_t bytes =
+      pattern_row_bytes(id, service, row[1].as_text(), row[2].as_text());
+  for (const std::string& e : load_examples(db_, id)) {
+    bytes += example_row_bytes(e);
+  }
   db_.exec("DELETE FROM patterns WHERE pid = ?", {id});
   db_.exec("DELETE FROM examples WHERE pid = ?", {id});
-  return existing.rows[0][0].as_text();
+  const auto it = partition_bytes_.find(service);
+  if (it != partition_bytes_.end()) {
+    it->second -= bytes;
+    if (it->second == 0) partition_bytes_.erase(it);
+  }
+  return service;
 }
 
 void PatternStore::log_ops(std::string ops) {
@@ -602,12 +617,16 @@ void PatternStore::abort_batch() {
 }
 
 std::optional<core::Pattern> PatternStore::find(const std::string& id) {
-  std::lock_guard lock(mutex_);
-  QueryResult r = db_.exec("SELECT " + std::string(kPatternColumns) +
-                               " FROM patterns WHERE pid = ?",
-                           {id});
-  if (r.rows.empty()) return std::nullopt;
-  return row_to_pattern(r.rows.front());
+  std::vector<StoredRow> rows;
+  {
+    std::lock_guard lock(mutex_);
+    rows = take_rows(db_, db_.exec("SELECT " + std::string(kPatternColumns) +
+                                       " FROM patterns WHERE pid = ?",
+                                   {id}));
+  }
+  std::vector<core::Pattern> found = decode_rows(std::move(rows));
+  if (found.empty()) return std::nullopt;
+  return std::move(found.front());
 }
 
 std::size_t PatternStore::pattern_count() {
@@ -631,15 +650,12 @@ std::vector<core::Pattern> PatternStore::export_patterns(
                      "ORDER BY match_count DESC",
                  {Value(filter.service)});
   }
-  std::vector<core::Pattern> out;
-  for (const Row& row : r.rows) {
-    if (static_cast<std::uint64_t>(row[6].as_int()) <
-        filter.min_match_count) {
-      continue;
-    }
-    if (row[5].as_real() >= filter.max_complexity) continue;
-    if (auto p = row_to_pattern(row)) out.push_back(std::move(*p));
-  }
+  std::erase_if(r.rows, [&](const Row& row) {
+    return static_cast<std::uint64_t>(row[6].as_int()) <
+               filter.min_match_count ||
+           row[5].as_real() >= filter.max_complexity;
+  });
+  std::vector<core::Pattern> out = decode_rows(take_rows(db_, std::move(r)));
   // Read-through over spilled partitions: decode the spill files directly
   // (no reload — export must not change residency), then restore the
   // match-count ordering across the combined set.
@@ -677,6 +693,7 @@ bool PatternStore::load(const std::string& path) {
   obs::StageTimer timer(store_metrics().persist_seconds);
   std::lock_guard lock(mutex_);
   spilled_.clear();
+  partition_bytes_.clear();
   if (!db_.load(path)) {
     db_ = Database();
     create_schema();
@@ -690,6 +707,7 @@ bool PatternStore::load(const std::string& path) {
   // Recreate the secondary indexes (snapshots do not persist them).
   db_.exec("CREATE INDEX ON patterns (service)");
   db_.exec("CREATE INDEX ON examples (pid)");
+  seed_partition_bytes_locked();
   return true;
 }
 
@@ -718,6 +736,7 @@ void PatternStore::replay_ops(std::string_view ops) {
       }
       p.tokens = std::move(*tokens);
       apply_upsert(p);
+      refresh_partition_locked(p.service);
     } else if (op == kOpRecordMatch) {
       const std::string id(r.string());
       const std::uint64_t count = r.u64();
@@ -727,7 +746,9 @@ void PatternStore::replay_ops(std::string_view ops) {
     } else if (op == kOpDelete) {
       const std::string id(r.string());
       if (!r.ok) break;
-      apply_delete(id);
+      if (const auto service = apply_delete(id)) {
+        refresh_partition_locked(*service);
+      }
     } else if (op == kOpSpill || op == kOpReload) {
       const std::string service(r.string());
       const std::uint32_t n_patterns = r.u32();
@@ -737,6 +758,7 @@ void PatternStore::replay_ops(std::string_view ops) {
         apply_spill(service, n_patterns, blob);
       } else {
         apply_reload(service, blob);
+        refresh_partition_locked(service);
       }
     } else {
       break;  // unknown op: drop the rest of the group
@@ -770,6 +792,7 @@ bool PatternStore::open(const std::string& dir) {
   create_schema();
   snapshot_seq_ = 0;
   spilled_.clear();
+  partition_bytes_.clear();
   batch_ops_.clear();
   batch_services_.clear();
 
@@ -800,6 +823,8 @@ bool PatternStore::open(const std::string& dir) {
     db_ = Database();
     create_schema();
   }
+  // From here on the WAL replay keeps the ledger by deltas.
+  seed_partition_bytes_locked();
 
   // Replay the WAL tail past the snapshot watermark, then keep the log
   // open for appending (open() truncates any torn final record).
@@ -808,6 +833,7 @@ bool PatternStore::open(const std::string& dir) {
   if (!wal_.open(wal_path, &recovered)) {
     db_ = Database();
     create_schema();
+    partition_bytes_.clear();
     return false;
   }
   wal_.ensure_next_seq(snapshot_seq_ + 1);
@@ -910,16 +936,11 @@ bool PatternStore::write_spill_file_locked(std::string_view service,
 
 std::vector<core::Pattern> PatternStore::partition_rows_locked(
     std::string_view service) {
-  QueryResult r = db_.exec("SELECT " + std::string(kPatternColumns) +
-                               " FROM patterns WHERE service = ? "
-                               "ORDER BY pid",
-                           {Value(service)});
-  std::vector<core::Pattern> out;
-  out.reserve(r.rows.size());
-  for (const Row& row : r.rows) {
-    if (auto p = row_to_pattern(row)) out.push_back(std::move(*p));
-  }
-  return out;
+  return decode_rows(
+      take_rows(db_, db_.exec("SELECT " + std::string(kPatternColumns) +
+                                  " FROM patterns WHERE service = ? "
+                                  "ORDER BY pid",
+                              {Value(service)})));
 }
 
 std::size_t PatternStore::partition_bytes_locked(std::string_view service) {
@@ -928,23 +949,56 @@ std::size_t PatternStore::partition_bytes_locked(std::string_view service) {
       {Value(service)});
   std::size_t total = 0;
   for (const Row& row : r.rows) {
-    total += kPatternRowOverheadBytes + row[0].as_text().size() +
-             row[1].as_text().size() + row[2].as_text().size() +
-             row[3].as_text().size();
+    total += pattern_row_bytes(row[0].as_text(), row[1].as_text(),
+                               row[2].as_text(), row[3].as_text());
     QueryResult ex =
         db_.exec("SELECT message FROM examples WHERE pid = ?",
                  {row[0].as_text()});
-    for (const Row& e : ex.rows) {
-      total += kExampleRowOverheadBytes + e[0].as_text().size();
-    }
+    for (const Row& e : ex.rows) total += example_row_bytes(e[0].as_text());
   }
   return total;
+}
+
+void PatternStore::seed_partition_bytes_locked() {
+  partition_bytes_.clear();
+  const Table* patterns = db_.table("patterns");
+  const Table* examples = db_.table("examples");
+  if (patterns == nullptr || examples == nullptr) return;
+  const Schema& ps = patterns->schema();
+  const Schema& es = examples->schema();
+  const int pid = ps.column_index("pid");
+  const int service = ps.column_index("service");
+  const int ptext = ps.column_index("ptext");
+  const int tokens = ps.column_index("tokens");
+  const int example_pid = es.column_index("pid");
+  const int message = es.column_index("message");
+  if (pid < 0 || service < 0 || ptext < 0 || tokens < 0 ||
+      example_pid < 0 || message < 0) {
+    return;
+  }
+  const auto text = [](const Row* row, int col) -> const std::string& {
+    return (*row)[static_cast<std::size_t>(col)].as_text();
+  };
+  // pid -> its service's entry, so each example row charges its owner.
+  std::unordered_map<std::string_view, std::size_t*> owner;
+  owner.reserve(patterns->size());
+  for (const Row* row : patterns->snapshot()) {
+    std::size_t& bytes = partition_bytes_[text(row, service)];
+    bytes += pattern_row_bytes(text(row, pid), text(row, service),
+                               text(row, ptext), text(row, tokens));
+    owner.emplace(text(row, pid), &bytes);
+  }
+  for (const Row* row : examples->snapshot()) {
+    const auto it = owner.find(text(row, example_pid));
+    if (it != owner.end()) *it->second += example_row_bytes(text(row, message));
+  }
 }
 
 void PatternStore::refresh_partition_locked(std::string_view service) {
   if (governor_ == nullptr) return;
   core::MemoryAccountant* acct = governor_->accountant();
-  const std::size_t bytes = partition_bytes_locked(service);
+  const auto it = partition_bytes_.find(service);
+  const std::size_t bytes = it == partition_bytes_.end() ? 0 : it->second;
   if (bytes == 0) {
     if (acct != nullptr) acct->drop_partition(service);
     governor_->on_deleted(service);
@@ -961,6 +1015,8 @@ void PatternStore::erase_partition_locked(std::string_view service) {
     db_.exec("DELETE FROM examples WHERE pid = ?", {row[0].as_text()});
   }
   db_.exec("DELETE FROM patterns WHERE service = ?", {Value(service)});
+  const auto it = partition_bytes_.find(service);
+  if (it != partition_bytes_.end()) partition_bytes_.erase(it);
 }
 
 void PatternStore::apply_spill(std::string_view service,
@@ -1129,17 +1185,10 @@ void PatternStore::attach_governor(core::Governor* governor) {
   governor_ = governor;
   if (governor_ == nullptr) return;
   governor_->attach_target(this);
-  // Seed the ledger and LRU with the current resident partitions, and the
-  // spilled set with what reconcile/replay found.
-  QueryResult r = db_.exec("SELECT service FROM patterns ORDER BY service");
-  bool have_last = false;
-  std::string last;
-  for (const Row& row : r.rows) {
-    std::string svc = row[0].as_text();
-    if (have_last && svc == last) continue;
+  // Seed the accountant and LRU with the current resident partitions, and
+  // the spilled set with what reconcile/replay found.
+  for (const auto& [svc, bytes] : partition_bytes_) {
     refresh_partition_locked(svc);
-    last = std::move(svc);
-    have_last = true;
   }
   for (const auto& [svc, info] : spilled_) governor_->seed_spilled(svc);
 }

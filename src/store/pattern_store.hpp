@@ -42,17 +42,10 @@
 #include "core/pattern.hpp"
 #include "core/repository.hpp"
 #include "store/database.hpp"
+#include "store/token_codec.hpp"
 #include "store/wal.hpp"
 
 namespace seqrtg::store {
-
-/// Serialises pattern tokens to the JSON wire form stored in `tokens`.
-std::string pattern_tokens_to_json(
-    const std::vector<core::PatternToken>& tokens);
-
-/// Parses the JSON wire form; std::nullopt on malformed input.
-std::optional<std::vector<core::PatternToken>> pattern_tokens_from_json(
-    std::string_view json);
 
 // Partition spill (resource governance, DESIGN.md §17):
 //
@@ -224,22 +217,20 @@ class PatternStore final : public core::PatternRepository,
   std::vector<std::string> spilled_services();
 
   /// Authoritative recount of every resident partition's bytes, computed
-  /// from the rows themselves — the governance oracle audits the
-  /// accountant's ledger against this.
+  /// from the rows themselves with one query per row. The store's own
+  /// ledger is kept by deltas and never calls this; it exists for the
+  /// governance audit (the accountant's ledger is checked against it).
   std::map<std::string, std::size_t> recount_partition_bytes();
 
  private:
-  /// std::nullopt when the row is unrecoverable (both the JSON token list
-  /// and the display-text fallback fail to parse) — counted in
-  /// seqrtg_store_corrupt_rows_total and skipped by every reader.
-  std::optional<core::Pattern> row_to_pattern(const Row& row);
-  std::vector<std::string> load_examples(const std::string& pid);
   void create_schema();
 
   // Unlocked mutation bodies shared by the public entry points and WAL
-  // replay (replay must not re-append). record_match/delete return the
+  // replay (replay must not re-append). Every write to the pattern and
+  // example tables goes through these three and erase_partition_locked,
+  // which keep partition_bytes_ in step. record_match/delete return the
   // owning service (nullopt when no row matched) so the public entry
-  // points can maintain the partition ledger and batch-scope bookkeeping.
+  // points can maintain the accountant and batch-scope bookkeeping.
   void apply_upsert(const core::Pattern& p);
   std::optional<std::string> apply_record_match(const std::string& id,
                                                 std::uint64_t count,
@@ -258,9 +249,14 @@ class PatternStore final : public core::PatternRepository,
   bool ensure_resident_locked(std::string_view service);
   void erase_partition_locked(std::string_view service);
   std::vector<core::Pattern> partition_rows_locked(std::string_view service);
+  /// Recount of one partition (recount_partition_bytes' per-service step).
   std::size_t partition_bytes_locked(std::string_view service);
-  /// Recomputes `service`'s ledger entry (and LRU presence) after a
-  /// mutation. No-op without an attached governor.
+  /// Rebuilds partition_bytes_ from the tables in one pass over the rows
+  /// (after a snapshot load replaced the database).
+  void seed_partition_bytes_locked();
+  /// Reports `service`'s partition_bytes_ entry to the accountant (and its
+  /// LRU presence to the governor) after a mutation. No-op without an
+  /// attached governor.
   void refresh_partition_locked(std::string_view service);
   /// open()-time reconciliation: stale spill files (service resident) are
   /// deleted, the rest define the spilled set.
@@ -273,7 +269,9 @@ class PatternStore final : public core::PatternRepository,
   void note_batch_service_locked(std::string_view service);
   /// Appends one commit group to the WAL unconditionally and fsyncs.
   void append_group(std::string ops);
-  /// Decodes and applies one replayed commit group.
+  /// Decodes and applies one replayed commit group. With a governor
+  /// attached (a standby applying shipped groups) each op also reports its
+  /// partition to the accountant, as the live entry points do.
   void replay_ops(std::string_view ops);
 
   std::mutex mutex_;
@@ -290,6 +288,10 @@ class PatternStore final : public core::PatternRepository,
   /// the class comment).
   std::map<std::thread::id, std::set<std::string, std::less<>>>
       batch_services_;
+
+  /// Resident bytes per service, by the same row arithmetic as the
+  /// recount; a service has an entry exactly while it has rows.
+  std::map<std::string, std::size_t, std::less<>> partition_bytes_;
 
   core::Governor* governor_ = nullptr;
   struct SpilledInfo {
