@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <unordered_map>
 
 #include "core/evolution.hpp"
 #include "core/governor.hpp"
@@ -98,28 +99,53 @@ Engine::ServiceOutcome Engine::process_service(
 
   // Second partitioning: per-token-count analysis tries for the unmatched.
   std::map<std::size_t, AnalyzerTrie> tries;
-  std::map<std::string, std::uint64_t> match_counts;
 
   {
     obs::StageTimer timer(engine_metrics().phase_parse_first);
     obs::TraceSpan span(obs::TraceCat::kEngine, "parse_first");
     span.set_args(static_cast<std::int64_t>(records.size()));
-    // One scratch buffer per service pass: each pool worker runs
-    // process_service to completion, so the whole loop tokenises with zero
-    // steady-state allocations. Tokens view record->message, which outlives
-    // both the match and the insert (the trie copies what it keeps).
+    // One scratch buffer and one match result per service pass: each pool
+    // worker runs process_service to completion, so the whole loop
+    // tokenises and matches with zero steady-state allocations. Tokens
+    // view record->message, which outlives both the match and the insert
+    // (the trie copies what it keeps).
     TokenBuffer scratch;
+    ParseResult match;
+    // One entry per distinct matched pattern, keyed by the parser-owned
+    // Pattern: a matched record costs a pointer-hash probe and, with
+    // sketches on, a fold of its field values into the entry's per-pass
+    // buffer. Pattern ids (text render + SHA-1) are computed once per
+    // entry when the pass ends.
+    struct MatchEntry {
+      const Pattern* pattern = nullptr;
+      std::uint64_t count = 0;
+      std::vector<ValueSketch> sketches;
+    };
+    std::vector<MatchEntry> matches;
+    std::unordered_map<const Pattern*, std::size_t> match_index;
     for (const LogRecord* record : records) {
       parser.scan_into(record->message, scratch);
       if (scratch.empty()) continue;
-      if (auto result = parser.match_tokens(service, scratch.tokens())) {
-        ++match_counts[result->pattern->id()];
+      if (parser.match_tokens(service, scratch.tokens(), match)) {
+        const auto [it, inserted] =
+            match_index.try_emplace(match.pattern, matches.size());
+        if (inserted) {
+          matches.push_back(
+              {match.pattern, 0,
+               std::vector<ValueSketch>(
+                   opts_.sketches != nullptr ? match.fields.size() : 0)});
+        }
+        MatchEntry& entry = matches[it->second];
+        ++entry.count;
         ++outcome.report.matched_existing;
-        if (opts_.sketches != nullptr) {
+        if (opts_.sketches != nullptr &&
+            entry.sketches.size() == match.fields.size()) {
           // Evolution evidence: record the extracted field values so the
           // maintenance pass can spot wildcards whose observed cardinality
           // collapsed (core/evolution.hpp).
-          opts_.sketches->observe(result->pattern->id(), result->fields);
+          for (std::size_t i = 0; i < match.fields.size(); ++i) {
+            entry.sketches[i].observe(match.fields[i].second);
+          }
         }
         continue;
       }
@@ -128,6 +154,29 @@ Engine::ServiceOutcome Engine::process_service(
           opts_.partition_by_length ? scratch.size() : 0;
       auto [it, inserted] = tries.try_emplace(partition, opts_.analyzer);
       it->second.insert(scratch.tokens(), record->message);
+    }
+
+    // Updates in id order — the order a string-keyed count map gave — so
+    // the record_match calls, and the WAL group they form, are unchanged.
+    // Ids are unique within a loaded service (repositories key patterns by
+    // id); entries that still render one id are summed.
+    std::vector<std::pair<std::string, const MatchEntry*>> by_id;
+    by_id.reserve(matches.size());
+    for (const MatchEntry& entry : matches) {
+      by_id.emplace_back(entry.pattern->id(), &entry);
+    }
+    std::stable_sort(by_id.begin(), by_id.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.first < b.first;
+                     });
+    for (auto& [id, entry] : by_id) {
+      if (opts_.sketches != nullptr) opts_.sketches->merge(id, entry->sketches);
+      if (!outcome.match_updates.empty() &&
+          outcome.match_updates.back().first == id) {
+        outcome.match_updates.back().second += entry->count;
+      } else {
+        outcome.match_updates.emplace_back(std::move(id), entry->count);
+      }
     }
   }
 
@@ -149,7 +198,6 @@ Engine::ServiceOutcome Engine::process_service(
   }
   analysis_timer.stop();
   analysis_span.end();
-  outcome.match_updates.assign(match_counts.begin(), match_counts.end());
   for (const auto& [length, trie] : tries) {
     outcome.trie_arena_bytes += trie.arena_resident_bytes();
     outcome.interner_bytes += trie.interner().bytes_resident();

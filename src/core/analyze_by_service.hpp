@@ -53,8 +53,10 @@ struct EngineOptions {
   /// synthetic clocks.
   std::int64_t now_unix = 0;
   /// Optional per-position value sketches recorded on every parse-first
-  /// match (core/evolution.hpp). The registry is thread-safe; nullptr
-  /// disables the sampling entirely. Must outlive the engine.
+  /// match (core/evolution.hpp). Each service pass buffers them per matched
+  /// pattern and merges each buffer once, when the pass ends. The registry
+  /// is thread-safe; nullptr disables the sampling entirely. Must outlive
+  /// the engine.
   SketchRegistry* sketches = nullptr;
   /// Optional resource governor (core/governor.hpp). When set, the engine
   /// pins each service partition while it is in flight (so a concurrent
@@ -119,7 +121,7 @@ class Engine {
   struct ServiceOutcome {
     std::string service;
     std::vector<Pattern> new_patterns;
-    // id -> additional match count for existing patterns.
+    // id -> additional match count for existing patterns, in id order.
     std::vector<std::pair<std::string, std::uint64_t>> match_updates;
     BatchReport report;
     // Resident bytes of this service's transient analysis state (summed

@@ -327,6 +327,10 @@ void merge_near_duplicates(std::vector<Pattern>& work,
 
 void ValueSketch::observe(std::string_view value) {
   ++observations;
+  add_value(value);
+}
+
+void ValueSketch::add_value(std::string_view value) {
   if (overflow) return;
   for (const std::string& v : values) {
     if (v == value) return;
@@ -338,15 +342,65 @@ void ValueSketch::observe(std::string_view value) {
   values.emplace_back(value);
 }
 
+void ValueSketch::merge(const ValueSketch& later) {
+  // `later.values` are its first distinct values in first-seen order, so
+  // inserting them in order adds exactly what observing the whole run
+  // would have added before this sketch filled up. If `later` overflowed
+  // it saw more than kMaxValues distinct values, so the run would have
+  // overflowed this sketch too.
+  observations += later.observations;
+  for (const std::string& v : later.values) add_value(v);
+  if (later.overflow) overflow = true;
+}
+
+namespace {
+
+/// One registry entry's share of approx_bytes(): map node overhead (key +
+/// tree pointers), vector storage per sketch, and the sampled value bytes.
+std::size_t entry_bytes(const std::string& id,
+                        const std::vector<ValueSketch>& sketches) {
+  std::size_t bytes = id.size() + 4 * sizeof(void*);
+  bytes += sketches.capacity() * sizeof(ValueSketch);
+  for (const ValueSketch& s : sketches) {
+    bytes += s.values.capacity() * sizeof(std::string);
+    for (const std::string& v : s.values) bytes += v.size();
+  }
+  return bytes;
+}
+
+}  // namespace
+
 void SketchRegistry::observe(const std::string& pattern_id,
                              const ParsedFields& fields) {
   std::lock_guard lock(mutex_);
-  std::vector<ValueSketch>& sketches = sketches_[pattern_id];
+  const auto [it, inserted] = sketches_.try_emplace(pattern_id);
+  std::vector<ValueSketch>& sketches = it->second;
+  bytes_ -= inserted ? 0 : entry_bytes(it->first, sketches);
   if (sketches.empty()) sketches.resize(fields.size());
-  if (sketches.size() != fields.size()) return;  // arity drifted: ignore
-  for (std::size_t i = 0; i < fields.size(); ++i) {
-    sketches[i].observe(fields[i].second);
+  if (sketches.size() == fields.size()) {  // else arity drifted: ignore
+    for (std::size_t i = 0; i < fields.size(); ++i) {
+      sketches[i].observe(fields[i].second);
+    }
   }
+  bytes_ += entry_bytes(it->first, sketches);
+}
+
+void SketchRegistry::merge(const std::string& pattern_id,
+                           const std::vector<ValueSketch>& local) {
+  std::lock_guard lock(mutex_);
+  const auto [it, inserted] = sketches_.try_emplace(pattern_id);
+  std::vector<ValueSketch>& sketches = it->second;
+  bytes_ -= inserted ? 0 : entry_bytes(it->first, sketches);
+  // observe()'s arity rule applied once: every record of the buffer has
+  // local.size() fields, so the first would adopt that arity on an empty
+  // entry and all of them would be ignored by an entry of another.
+  if (sketches.empty()) sketches.resize(local.size());
+  if (sketches.size() == local.size()) {
+    for (std::size_t i = 0; i < local.size(); ++i) {
+      sketches[i].merge(local[i]);
+    }
+  }
+  bytes_ += entry_bytes(it->first, sketches);
 }
 
 std::map<std::string, std::vector<ValueSketch>> SketchRegistry::snapshot()
@@ -357,12 +411,16 @@ std::map<std::string, std::vector<ValueSketch>> SketchRegistry::snapshot()
 
 void SketchRegistry::forget(const std::string& pattern_id) {
   std::lock_guard lock(mutex_);
-  sketches_.erase(pattern_id);
+  const auto it = sketches_.find(pattern_id);
+  if (it == sketches_.end()) return;
+  bytes_ -= entry_bytes(it->first, it->second);
+  sketches_.erase(it);
 }
 
 void SketchRegistry::clear() {
   std::lock_guard lock(mutex_);
   sketches_.clear();
+  bytes_ = 0;
 }
 
 std::size_t SketchRegistry::pattern_count() const {
@@ -372,16 +430,14 @@ std::size_t SketchRegistry::pattern_count() const {
 
 std::size_t SketchRegistry::approx_bytes() const {
   std::lock_guard lock(mutex_);
-  // Map node overhead (key + tree pointers) per pattern, vector storage
-  // per sketch, and the sampled value bytes themselves.
+  return bytes_;
+}
+
+std::size_t SketchRegistry::recount_bytes() const {
+  std::lock_guard lock(mutex_);
   std::size_t bytes = 0;
   for (const auto& [id, sketches] : sketches_) {
-    bytes += id.size() + 4 * sizeof(void*);
-    bytes += sketches.capacity() * sizeof(ValueSketch);
-    for (const ValueSketch& s : sketches) {
-      bytes += s.values.capacity() * sizeof(std::string);
-      for (const std::string& v : s.values) bytes += v.size();
-    }
+    bytes += entry_bytes(id, sketches);
   }
   return bytes;
 }
@@ -390,6 +446,10 @@ void SketchRegistry::restore(
     std::map<std::string, std::vector<ValueSketch>> sketches) {
   std::lock_guard lock(mutex_);
   sketches_ = std::move(sketches);
+  bytes_ = 0;
+  for (const auto& [id, positions] : sketches_) {
+    bytes_ += entry_bytes(id, positions);
+  }
 }
 
 std::string sketches_to_json(

@@ -56,10 +56,20 @@ struct ValueSketch {
   static constexpr std::size_t kMaxValues = 8;
 
   void observe(std::string_view value);
+  /// Folds in `later`, a sketch of the observations that followed this
+  /// one's, built from empty: the result equals observing them here one
+  /// by one (see SketchRegistry::merge).
+  void merge(const ValueSketch& later);
   /// True when every observation carried one single value.
   bool singleton() const {
     return !overflow && values.size() == 1 && observations > 0;
   }
+
+  bool operator==(const ValueSketch& other) const = default;
+
+ private:
+  /// observe() without the count: the distinct-value and overflow rule.
+  void add_value(std::string_view value);
 };
 
 /// Thread-safe pattern-id -> per-variable-position sketches, fed by the
@@ -71,6 +81,15 @@ class SketchRegistry {
   /// i-th field corresponds to the i-th variable token of the pattern.
   void observe(const std::string& pattern_id, const ParsedFields& fields);
 
+  /// Folds `local` — one position per field, each observed in record
+  /// order from an empty ValueSketch — into `pattern_id`'s sketches under
+  /// one lock acquisition. The result equals calling observe() once per
+  /// record `local` saw: first-seen value order, the kMaxValues cap and
+  /// overflow flag, observation counts, and the arity rule (an entry of
+  /// another, non-zero arity ignores the whole buffer).
+  void merge(const std::string& pattern_id,
+             const std::vector<ValueSketch>& local);
+
   std::map<std::string, std::vector<ValueSketch>> snapshot() const;
 
   /// Drops the sketches of a pattern that was rewritten or deleted.
@@ -79,8 +98,13 @@ class SketchRegistry {
   std::size_t pattern_count() const;
 
   /// Approximate resident bytes of the registry (map nodes, sketch
-  /// vectors, sampled value strings) for the governance accountant.
+  /// vectors, sampled value strings) for the governance accountant. A
+  /// running total kept by every mutation, so reading it is O(1).
   std::size_t approx_bytes() const;
+
+  /// The same figure by walking every sketched pattern: the reference
+  /// the running total is tested against.
+  std::size_t recount_bytes() const;
 
   /// Replaces the registry contents with a previously snapshotted state
   /// (server restart: sketches_from_json -> restore).
@@ -89,6 +113,7 @@ class SketchRegistry {
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::vector<ValueSketch>> sketches_;
+  std::size_t bytes_ = 0;  // approx_bytes(); guarded by mutex_
 };
 
 struct EvolutionOptions {

@@ -359,10 +359,7 @@ std::size_t Governor::enforce() {
 
   const bool over =
       accountant_->resident_bytes() > policy_.ceiling_bytes && blocked;
-  {
-    std::lock_guard lock(mutex_);
-    overloaded_ = over;
-  }
+  overloaded_.store(over, std::memory_order_relaxed);
   if (spilled_count > 0 && obs::telemetry_enabled()) {
     obs::logev(obs::LogLevel::kDebug, "governor", "enforce",
                {{"spilled", spilled_count},
@@ -370,11 +367,6 @@ std::size_t Governor::enforce() {
                 {"overloaded", over}});
   }
   return spilled_count;
-}
-
-bool Governor::overloaded() const {
-  std::lock_guard lock(mutex_);
-  return overloaded_;
 }
 
 void Governor::note_shed() {

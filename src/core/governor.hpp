@@ -33,6 +33,7 @@
 // pattern sets byte-equal to ungoverned runs.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -205,8 +206,11 @@ class Governor {
 
   /// Admission control: true while the ledger is above the ceiling and
   /// the last enforce() could not bring it down (nothing spillable).
-  /// serve sheds new records while this holds.
-  bool overloaded() const;
+  /// serve sheds new records while this holds. A relaxed atomic load: the
+  /// admission path reads it per record without the governor mutex.
+  bool overloaded() const {
+    return overloaded_.load(std::memory_order_relaxed);
+  }
 
   /// Serve's shed path reports each shed record here for exact
   /// accounting (`accepted == processed + shed`).
@@ -252,7 +256,8 @@ class Governor {
   std::list<std::string> lru_;  // front = coldest, back = hottest
   std::map<std::string, Entry, std::less<>> entries_;
   std::map<std::string, bool, std::less<>> spilled_;  // spilled set
-  bool overloaded_ = false;
+  // Stored by enforce() only; read lock-free by overloaded().
+  std::atomic<bool> overloaded_{false};
   std::uint64_t spills_ = 0;
   std::uint64_t reloads_ = 0;
   std::uint64_t sheds_ = 0;

@@ -2,6 +2,7 @@
 
 #include "obs/metrics.hpp"
 #include "util/json.hpp"
+#include "util/json_reader.hpp"
 #include "util/strings.hpp"
 
 namespace seqrtg::core {
@@ -24,6 +25,56 @@ IngestMetrics& ingest_metrics() {
   return m;
 }
 
+/// Single-pass record decoder: one walk over the line with the shared
+/// JSON reader, copying the `service` and `message` strings straight into
+/// `out`. It gives util::json_parse's verdict on the trimmed line followed
+/// by the field checks — any JSON object whose last "service" and last
+/// "message" values are strings — without building a DOM.
+bool decode_record(std::string_view line, LogRecord& out) {
+  util::JsonReader in(line);
+  bool service_ok = false;
+  bool message_ok = false;
+  in.skip_ws();
+  if (!in.consume('{')) return false;
+  in.skip_ws();
+  if (!in.consume('}')) {
+    while (true) {
+      in.skip_ws();
+      std::string_view key;
+      if (!in.at('"') || !in.read_string(key)) return false;
+      // Compared now: the key may live in the reader's buffer, which the
+      // value read reuses.
+      std::string* target = nullptr;
+      bool* ok = nullptr;
+      if (key == "service") {
+        target = &out.service;
+        ok = &service_ok;
+      } else if (key == "message") {
+        target = &out.message;
+        ok = &message_ok;
+      }
+      in.skip_ws();
+      if (!in.consume(':')) return false;
+      in.skip_ws();
+      if (target != nullptr && in.at('"')) {
+        std::string_view value;
+        if (!in.read_string(value)) return false;
+        target->assign(value.data(), value.size());
+        *ok = true;
+      } else {
+        // A later duplicate that is not a string voids the earlier one.
+        if (ok != nullptr) *ok = false;
+        if (!in.skip_value(1)) return false;
+      }
+      in.skip_ws();
+      if (in.consume('}')) break;
+      if (!in.consume(',')) return false;
+    }
+  }
+  in.skip_ws();
+  return in.at_end() && service_ok && message_ok;
+}
+
 }  // namespace
 
 std::string record_to_json(const LogRecord& record) {
@@ -37,19 +88,8 @@ std::string record_to_json(const LogRecord& record) {
 
 std::optional<LogRecord> JsonStreamIngester::parse_line(
     std::string_view line) {
-  const std::string_view trimmed = util::trim(line);
-  if (trimmed.empty()) return std::nullopt;
-  const util::JsonParseResult parsed = util::json_parse(trimmed);
-  if (!parsed.ok() || !parsed.value.is_object()) return std::nullopt;
-  const util::Json* service = parsed.value.find("service");
-  const util::Json* message = parsed.value.find("message");
-  if (service == nullptr || message == nullptr || !service->is_string() ||
-      !message->is_string()) {
-    return std::nullopt;
-  }
-  LogRecord record;
-  record.service = service->as_string();
-  record.message = message->as_string();
+  std::optional<LogRecord> record(std::in_place);
+  if (!decode_record(line, *record)) record.reset();
   return record;
 }
 

@@ -44,6 +44,9 @@ class JsonStreamIngester {
       : batch_size_(batch_size == 0 ? 1 : batch_size) {}
 
   /// Parses one stream line into a record; std::nullopt when malformed.
+  /// Accepts any JSON object (util::json_parse's grammar and nesting cap)
+  /// whose last `service` and last `message` values are strings, decoded
+  /// in one pass without a DOM.
   static std::optional<LogRecord> parse_line(std::string_view line);
 
   /// parse_line plus accounting: bumps `stats` and the process telemetry

@@ -210,20 +210,30 @@ bool Parser::match_walk(const MatchNode* node,
   return false;
 }
 
-std::optional<ParseResult> Parser::match_tokens(
-    std::string_view service, const std::vector<Token>& tokens) const {
-  std::optional<ParseResult> result = match_tokens_impl(service, tokens);
+bool Parser::match_tokens(std::string_view service,
+                          const std::vector<Token>& tokens,
+                          ParseResult& out) const {
+  const bool matched = match_tokens_impl(service, tokens, out);
   if (obs::telemetry_enabled()) {
     ParserMetrics& m = parser_metrics();
-    (result ? m.matched : m.missed).inc();
+    (matched ? m.matched : m.missed).inc();
   }
+  return matched;
+}
+
+std::optional<ParseResult> Parser::match_tokens(
+    std::string_view service, const std::vector<Token>& tokens) const {
+  ParseResult result;
+  if (!match_tokens(service, tokens, result)) return std::nullopt;
   return result;
 }
 
-std::optional<ParseResult> Parser::match_tokens_impl(
-    std::string_view service, const std::vector<Token>& tokens) const {
+bool Parser::match_tokens_impl(std::string_view service,
+                               const std::vector<Token>& tokens,
+                               ParseResult& out) const {
+  out.pattern = nullptr;
   const auto svc_it = services_.find(service);
-  if (svc_it == services_.end()) return std::nullopt;
+  if (svc_it == services_.end()) return false;
   const ServiceIndex& svc = svc_it->second;
 
   // Compiled fast path: flat program, identical semantics to the walk
@@ -233,19 +243,16 @@ std::optional<ParseResult> Parser::match_tokens_impl(
     const MatchProgram* prog = svc.program.load(std::memory_order_acquire);
     if (prog == nullptr) prog = compile_service(svc);
     if (obs::telemetry_enabled()) parser_metrics().path_compiled.inc();
-    ParseResult result;
-    if (prog->match(tokens, &result.fields, &result.pattern)) return result;
-    return std::nullopt;
+    return prog->match(tokens, &out.fields, &out.pattern);
   }
   if (obs::telemetry_enabled()) parser_metrics().path_trie.inc();
 
   // Exact-length patterns first.
   const auto exact_it = svc.exact.find(tokens.size());
   if (exact_it != svc.exact.end()) {
-    ParseResult result;
-    if (match_walk(&exact_it->second, tokens, 0, &result.fields,
-                   &result.pattern)) {
-      return result;
+    out.fields.clear();
+    if (match_walk(&exact_it->second, tokens, 0, &out.fields, &out.pattern)) {
+      return true;
     }
   }
   // %rest% patterns: any prefix length <= token count. Walk candidate
@@ -290,20 +297,20 @@ std::optional<ParseResult> Parser::match_tokens_impl(
         return false;
       }
     };
-    ParseResult result;
+    out.fields.clear();
     std::string rest_name;
     RestWalker walker{this, tokens, prefix_len};
-    if (walker.walk(&root, 0, &result.fields, &result.pattern, &rest_name)) {
+    if (walker.walk(&root, 0, &out.fields, &out.pattern, &rest_name)) {
       // Bind the swallowed suffix under the rest variable's name.
       std::string suffix =
           reconstruct(tokens.data() + prefix_len,
                       tokens.data() + tokens.size());
-      result.fields.emplace_back(
-          rest_name.empty() ? "rest" : rest_name, std::move(suffix));
-      return result;
+      out.fields.emplace_back(rest_name.empty() ? "rest" : rest_name,
+                              std::move(suffix));
+      return true;
     }
   }
-  return std::nullopt;
+  return false;
 }
 
 std::optional<ParseResult> Parser::parse(std::string_view service,

@@ -74,7 +74,14 @@ class Parser {
                                    std::string_view message,
                                    TokenBuffer& scratch) const;
 
-  /// Matches an already scanned-and-promoted token sequence.
+  /// Matches an already scanned-and-promoted token sequence into `out`,
+  /// which is cleared and refilled; `out.fields` keeps its capacity, so a
+  /// loop that reuses one result allocates no field vector per match.
+  /// Returns false on no match (`out` is then unspecified).
+  bool match_tokens(std::string_view service, const std::vector<Token>& tokens,
+                    ParseResult& out) const;
+
+  /// As above, into a fresh result; std::nullopt on no match.
   std::optional<ParseResult> match_tokens(std::string_view service,
                                           const std::vector<Token>& tokens) const;
 
@@ -116,10 +123,11 @@ class Parser {
                   std::size_t i, ParsedFields* fields,
                   const Pattern** out) const;
 
-  /// match_tokens without the telemetry counters (the public wrapper adds
-  /// the match/miss accounting).
-  std::optional<ParseResult> match_tokens_impl(
-      std::string_view service, const std::vector<Token>& tokens) const;
+  /// match_tokens without the telemetry counters (the public entry point
+  /// adds the match/miss accounting).
+  bool match_tokens_impl(std::string_view service,
+                         const std::vector<Token>& tokens,
+                         ParseResult& out) const;
 
   /// Double-checked lazy compile: returns the service's program, compiling
   /// and publishing it under `compile_mutex_` when absent.

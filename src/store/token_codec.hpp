@@ -10,8 +10,9 @@
 // the same list; snapshots, WAL records and spill files written by either
 // encoder are interchangeable.
 //
-// The decoder is a single pass over the bytes with no intermediate DOM. It
-// accepts exactly the documents the util::Json route accepted (any valid
+// The decoder is a single pass over the bytes with no intermediate DOM,
+// on the reader it shares with the stream ingester (util/json_reader.hpp).
+// It accepts exactly the documents the util::Json route accepted (any valid
 // JSON under util::json_parse's grammar and nesting cap, whose top level
 // is an array of objects with boolean "v" and "s", and a string "x" when
 // "v" is false) and returns the same tokens: unknown keys are skipped,

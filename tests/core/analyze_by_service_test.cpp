@@ -3,6 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "core/evolution.hpp"
+#include "core/parser.hpp"
+#include "loggen/corpus.hpp"
 
 namespace seqrtg::core {
 namespace {
@@ -185,6 +194,108 @@ TEST(AnalyzeByService, StatsStampedWithInjectedClock) {
   const auto patterns = repo.load_service("s");
   ASSERT_EQ(patterns.size(), 1u);
   EXPECT_EQ(patterns[0].stats.first_seen, 1234567);
+}
+
+using MatchCalls = std::vector<std::pair<std::string, std::uint64_t>>;
+
+/// An InMemoryRepository that logs every record_match call in order.
+class RecordingRepository final : public PatternRepository {
+ public:
+  std::vector<Pattern> load_service(std::string_view service) override {
+    return inner_.load_service(service);
+  }
+  std::vector<std::string> services() override { return inner_.services(); }
+  void upsert_pattern(const Pattern& p) override { inner_.upsert_pattern(p); }
+  void record_match(const std::string& id, std::uint64_t count,
+                    std::int64_t when) override {
+    calls.emplace_back(id, count);
+    inner_.record_match(id, count, when);
+  }
+  bool delete_pattern(const std::string& id) override {
+    return inner_.delete_pattern(id);
+  }
+  std::optional<Pattern> find(const std::string& id) override {
+    return inner_.find(id);
+  }
+  std::size_t pattern_count() override { return inner_.pattern_count(); }
+
+  MatchCalls calls;
+
+ private:
+  InMemoryRepository inner_;
+};
+
+// The engine counts parse-first matches per matched pattern, computes each
+// id once per pass, and feeds value sketches through per-pass buffers
+// merged at the end. Differential: over every LogHub corpus and several
+// batches, the sketches must equal a registry fed observe(p.id(), fields)
+// record by record from Parser::parse against the repository as it stood
+// before the batch, and the batch's record_match calls (ids, counts,
+// order) must be the per-service, id-ordered counts of those matches.
+TEST(AnalyzeByService, SketchesAndMatchUpdatesEqualPerRecordReference) {
+  std::vector<std::vector<std::string>> corpora;
+  for (const loggen::DatasetSpec& spec : loggen::loghub_datasets()) {
+    corpora.push_back(
+        loggen::generate_corpus(spec, 480, util::kDefaultSeed).messages);
+  }
+  const auto& specs = loggen::loghub_datasets();
+  ASSERT_EQ(corpora.size(), 16u);
+  std::vector<LogRecord> stream;
+  for (std::size_t i = 0; i < corpora[0].size(); ++i) {
+    for (std::size_t d = 0; d < corpora.size(); ++d) {
+      if (i < corpora[d].size()) stream.push_back({specs[d].name, corpora[d][i]});
+    }
+  }
+
+  RecordingRepository repo;
+  SketchRegistry sketches;
+  EngineOptions opts;
+  opts.threads = 2;
+  opts.sketches = &sketches;
+  Engine engine(&repo, opts);
+  SketchRegistry reference;
+
+  constexpr std::size_t kBatches = 4;
+  const std::size_t batch_size = (stream.size() + kBatches - 1) / kBatches;
+  std::uint64_t matched_total = 0;
+  for (std::size_t b = 0; b * batch_size < stream.size(); ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    const auto first = stream.begin() + static_cast<std::ptrdiff_t>(b * batch_size);
+    const auto last = stream.begin() + static_cast<std::ptrdiff_t>(
+                                           std::min(stream.size(), (b + 1) * batch_size));
+    const std::vector<LogRecord> batch(first, last);
+
+    Parser parser(opts.scanner, opts.special);
+    for (const std::string& service : repo.services()) {
+      for (const Pattern& p : repo.load_service(service)) parser.add_pattern(p);
+    }
+    std::map<std::string, std::map<std::string, std::uint64_t>> counts;
+    for (const LogRecord& r : batch) {
+      if (const auto result = parser.parse(r.service, r.message)) {
+        const std::string id = result->pattern->id();
+        reference.observe(id, result->fields);
+        ++counts[r.service][id];
+      }
+    }
+    MatchCalls expected;
+    for (const auto& [service, by_id] : counts) {
+      for (const auto& [id, count] : by_id) {
+        expected.emplace_back(id, count);
+        matched_total += count;
+      }
+    }
+
+    repo.calls.clear();
+    const BatchReport report = engine.analyze_by_service(batch);
+    std::uint64_t expected_matched = 0;
+    for (const auto& [id, count] : expected) expected_matched += count;
+    EXPECT_EQ(report.matched_existing, expected_matched);
+    EXPECT_EQ(repo.calls, expected);
+    EXPECT_EQ(sketches.snapshot(), reference.snapshot());
+    EXPECT_EQ(sketches.approx_bytes(), sketches.recount_bytes());
+  }
+  // Later batches mostly match what earlier ones mined.
+  EXPECT_GT(matched_total, stream.size() / 2);
 }
 
 }  // namespace

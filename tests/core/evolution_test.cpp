@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <string>
@@ -12,6 +14,7 @@
 #include "core/repository.hpp"
 #include "core/validation.hpp"
 #include "store/pattern_store.hpp"
+#include "util/rng.hpp"
 
 namespace seqrtg::core {
 namespace {
@@ -79,6 +82,106 @@ TEST(SketchRegistry, ObservesForgetAndIgnoresArityDrift) {
   EXPECT_EQ(reg.pattern_count(), 1u);
   reg.forget("p1");
   EXPECT_EQ(reg.pattern_count(), 0u);
+}
+
+/// Seeds for `rounds` rounds, or just SEQRTG_FUZZ_SEED when it is set.
+std::vector<std::uint64_t> fuzz_seeds(int rounds) {
+  if (const char* replay = std::getenv("SEQRTG_FUZZ_SEED")) {
+    return {std::strtoull(replay, nullptr, 0)};
+  }
+  std::vector<std::uint64_t> out;
+  for (int r = 0; r < rounds; ++r) {
+    out.push_back(util::kDefaultSeed ^ 0x5ce7c4e5ULL ^
+                  (0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(r + 1)));
+  }
+  return out;
+}
+
+// The engine observes each service pass into local sketches and folds
+// them into the registry with merge(). Property: cutting any per-pattern
+// observation sequence into chunks and merging each chunk's local
+// sketches leaves the registry exactly as observe() record by record
+// does, and the running approx_bytes() equals the walk after every step.
+TEST(SketchRegistry, ChunkedMergeEqualsPerRecordObserve) {
+  for (const std::uint64_t seed : fuzz_seeds(60)) {
+    SCOPED_TRACE("repro: SEQRTG_FUZZ_SEED=" + std::to_string(seed) +
+                 " ./evolution_test");
+    util::Rng rng(seed);
+    struct Spec {
+      std::string id;
+      std::size_t arity;
+      std::size_t alphabet;
+    };
+    std::vector<Spec> specs;
+    const std::size_t pattern_count = 1 + rng.next_below(6);
+    for (std::size_t p = 0; p < pattern_count; ++p) {
+      // Zero-field patterns, and alphabets both inside and well past the
+      // kMaxValues cap so singletons, fills and overflows all occur.
+      const std::size_t alphabet =
+          rng.chance(0.5) ? 1 + rng.next_below(3) : 6 + rng.next_below(30);
+      specs.push_back({"p" + std::to_string(p), rng.next_below(4), alphabet});
+    }
+    const auto value = [&](const Spec& spec) {
+      return "v" + std::to_string(rng.next_below(spec.alphabet));
+    };
+
+    SketchRegistry merged;
+    SketchRegistry reference;
+    const auto check = [&](const std::string& step) {
+      SCOPED_TRACE(step);
+      ASSERT_EQ(merged.snapshot(), reference.snapshot());
+      ASSERT_EQ(merged.approx_bytes(), merged.recount_bytes());
+      ASSERT_EQ(reference.approx_bytes(), reference.recount_bytes());
+      ASSERT_EQ(merged.approx_bytes(), reference.approx_bytes());
+    };
+    if (rng.chance(0.5)) {
+      // Restored history: some entries carry the pattern's arity, some
+      // another one (their buffers must be ignored whole), some none.
+      std::map<std::string, std::vector<ValueSketch>> restored;
+      for (const Spec& spec : specs) {
+        if (rng.chance(0.4)) continue;
+        std::size_t arity = spec.arity;
+        if (rng.chance(0.4)) arity = rng.next_below(4);
+        std::vector<ValueSketch>& sketches = restored[spec.id];
+        sketches.resize(arity);
+        for (ValueSketch& s : sketches) {
+          const std::size_t n = rng.next_below(12);
+          for (std::size_t i = 0; i < n; ++i) s.observe(value(spec));
+        }
+      }
+      merged.restore(restored);
+      reference.restore(restored);
+      check("restore");
+    }
+
+    const std::size_t steps = 20 + rng.next_below(40);
+    for (std::size_t step = 0; step < steps; ++step) {
+      const Spec& spec = rng.choice(specs);
+      const std::string label = "step " + std::to_string(step) + " " + spec.id;
+      if (rng.chance(0.05)) {
+        merged.forget(spec.id);
+        reference.forget(spec.id);
+        check(label + " forget");
+        continue;
+      }
+      // One chunk: what one service pass buffers for this pattern.
+      std::vector<ValueSketch> local(spec.arity);
+      const std::size_t records = 1 + rng.next_below(40);
+      for (std::size_t r = 0; r < records; ++r) {
+        ParsedFields fields;
+        for (std::size_t i = 0; i < spec.arity; ++i) {
+          fields.emplace_back("f" + std::to_string(i), value(spec));
+          local[i].observe(fields.back().second);
+        }
+        reference.observe(spec.id, fields);
+      }
+      merged.merge(spec.id, local);
+      check(label + " merge of " + std::to_string(records));
+    }
+    merged.clear();
+    reference.clear();
+    check("clear");
+  }
 }
 
 TEST(Evolution, SpecialisesCollapsedStringWildcard) {
