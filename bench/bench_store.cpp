@@ -1,7 +1,7 @@
 // Microbenchmarks for the embedded pattern store (extension #2 substrate):
-// upsert, point lookup, service scan, match-count updates, SQL round
-// trips, and snapshot persistence — plus the read and merge paths of a
-// served fleet, on fleet-shaped patterns with a governor attached.
+// upsert, point lookup, service scan, match-count updates and snapshot
+// persistence — plus the read and merge paths of a served fleet, on
+// fleet-shaped patterns with a governor attached.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
@@ -195,26 +195,6 @@ void BM_StoreRecordMatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 BENCHMARK(BM_StoreRecordMatch);
-
-void BM_SqlSelectIndexed(benchmark::State& state) {
-  store::Database db;
-  db.exec("CREATE TABLE t (id TEXT PRIMARY KEY, svc TEXT, n INTEGER)");
-  db.exec("CREATE INDEX ON t (svc)");
-  for (int i = 0; i < 2000; ++i) {
-    db.exec("INSERT INTO t VALUES (?, ?, ?)",
-            {store::Value("id" + std::to_string(i)),
-             store::Value("svc" + std::to_string(i % 40)),
-             store::Value(i)});
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        db.exec("SELECT id, n FROM t WHERE svc = ?",
-                {store::Value("svc" + std::to_string(i++ % 40))}));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_SqlSelectIndexed);
 
 void BM_StoreSaveLoad(benchmark::State& state) {
   store::PatternStore pattern_store;

@@ -548,12 +548,12 @@ int cmd_purge(const std::vector<std::string>& argv, std::istream&,
     return 1;
   }
   const std::int64_t below = args.get_int("below", 2);
-  // Collect doomed ids via SQL, then delete each through the store, which
-  // removes its examples too and keeps the partition ledger in step.
-  auto result = store.database().exec("SELECT pid, match_count FROM patterns");
+  // Collect the doomed patterns first, then delete each through the store,
+  // which removes its examples too and keeps the partition ledger in step.
   std::size_t purged = 0;
-  for (const store::Row& row : result.rows) {
-    if (row[1].as_int() < below && store.delete_pattern(row[0].as_text())) {
+  for (const core::Pattern& p : store.export_patterns({})) {
+    if (static_cast<std::int64_t>(p.stats.match_count) < below &&
+        store.delete_pattern(p.id())) {
       ++purged;
     }
   }

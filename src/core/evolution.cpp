@@ -612,7 +612,7 @@ std::vector<Pattern> evolve_service(
     for (const Pattern& p : work) {
       if (surviving.count(p.id()) == 0) {
         actions.push_back({EvolutionAction::Kind::kConflictDiscard, service,
-                           "'" + p.text() + "'"});
+                           '\'' + p.text() + '\''});
       }
     }
   }

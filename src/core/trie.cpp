@@ -212,8 +212,7 @@ void AnalyzerTrie::fold(TrieNode* node) {
     std::unordered_map<std::uint64_t, std::vector<EdgeKey>> by_shape;
     if (literal_keys.size() >= opts_.min_word_cardinality) {
       for (const EdgeKey& key : literal_keys) {
-        by_shape[subtree_signature(*node->children.find(key))]
-            .push_back(key);
+        by_shape[subtree_signature(node->children.at(key))].push_back(key);
       }
       for (auto& [sig, group] : by_shape) {
         if (group.size() >= opts_.min_word_cardinality) {
@@ -235,15 +234,14 @@ void AnalyzerTrie::fold(TrieNode* node) {
     if (!to_merge.empty()) {
       std::unordered_map<std::uint64_t, bool> merged_shapes;
       for (const EdgeKey& key : to_merge) {
-        merged_shapes[subtree_signature(*node->children.find(key))] = true;
+        merged_shapes[subtree_signature(node->children.at(key))] = true;
       }
       for (const EdgeKey& key : literal_keys) {
         if (std::find(to_merge.begin(), to_merge.end(), key) !=
             to_merge.end()) {
           continue;
         }
-        const std::uint64_t sig =
-            subtree_signature(*node->children.find(key));
+        const std::uint64_t sig = subtree_signature(node->children.at(key));
         if (merged_shapes.count(sig) > 0) to_merge.push_back(key);
       }
     }
@@ -257,10 +255,10 @@ void AnalyzerTrie::fold(TrieNode* node) {
     if (target == nullptr) {
       target = new_node();
       // Adopt spacing/key metadata from the first merged child.
-      const TrieNode* first = node->children.find(to_merge.front());
-      target->is_space_before = first->is_space_before;
-      target->key_id = first->key_id;
-      target->key_conflict = first->key_conflict;
+      const TrieNode& first = node->children.at(to_merge.front());
+      target->is_space_before = first.is_space_before;
+      target->key_id = first.key_id;
+      target->key_conflict = first.key_conflict;
       node->children.emplace(string_key, target);
     }
     for (const EdgeKey& key : to_merge) {

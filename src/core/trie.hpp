@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -106,6 +107,14 @@ class EdgeMap {
     }
     const auto it = index_->find(key.packed());
     return it == index_->end() ? nullptr : entries_[it->second].second;
+  }
+
+  /// Child for `key`, which must be present. Aborts otherwise, so callers
+  /// (and the optimiser) can rely on a non-null child.
+  TrieNode& at(EdgeKey key) const {
+    TrieNode* child = find(key);
+    if (child == nullptr) std::abort();
+    return *child;
   }
 
   /// Inserts (key -> node); `key` must not be present.

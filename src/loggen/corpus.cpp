@@ -699,7 +699,7 @@ eval::LabeledCorpus generate_corpus(const DatasetSpec& spec, std::size_t n,
     expand_template(spec.events[event].format, ctx, &raw, &pre);
     corpus.messages.push_back(std::move(raw));
     corpus.preprocessed.push_back(std::move(pre));
-    corpus.event_ids.push_back("E" + std::to_string(event + 1));
+    corpus.event_ids.push_back('E' + std::to_string(event + 1));
     ctx.clock += ctx.rng.uniform(0, 3);
   }
   return corpus;

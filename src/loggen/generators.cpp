@@ -256,7 +256,7 @@ std::string generate_value(std::string_view kind_and_arg, GenContext& ctx) {
   if (kind == "ts_epoch") return std::to_string(ctx.clock);
 
   // Unknown placeholder: emit it verbatim so template bugs are visible.
-  return "{" + std::string(kind_and_arg) + "}";
+  return '{' + std::string(kind_and_arg) + '}';
 }
 
 }  // namespace

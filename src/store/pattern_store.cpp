@@ -21,10 +21,40 @@ namespace {
 
 namespace fs = std::filesystem;
 
-/// SELECT column order shared by every pattern query.
-constexpr std::string_view kPatternColumns =
-    "pid, service, ptext, tokens, token_count, complexity, match_count, "
-    "first_seen, last_matched";
+/// Column positions of the two tables (schema in pattern_store.hpp).
+enum PatternColumn : std::size_t {
+  kPid,
+  kService,
+  kPtext,
+  kTokens,
+  kTokenCount,
+  kComplexity,
+  kMatchCount,
+  kFirstSeen,
+  kLastMatched,
+};
+enum ExampleColumn : std::size_t { kExamplePid, kExampleSeq, kExampleMessage };
+
+Schema patterns_schema() {
+  Schema s;
+  s.columns = {{"pid", ValueType::Text},         {"service", ValueType::Text},
+               {"ptext", ValueType::Text},       {"tokens", ValueType::Text},
+               {"token_count", ValueType::Integer},
+               {"complexity", ValueType::Real},
+               {"match_count", ValueType::Integer},
+               {"first_seen", ValueType::Integer},
+               {"last_matched", ValueType::Integer}};
+  s.primary_key = kPid;
+  return s;
+}
+
+Schema examples_schema() {
+  Schema s;
+  s.columns = {{"pid", ValueType::Text},
+               {"seq", ValueType::Integer},
+               {"message", ValueType::Text}};
+  return s;
+}
 
 /// WAL op codes (one byte each inside a commit group).
 constexpr std::uint8_t kOpUpsert = 1;
@@ -289,31 +319,59 @@ bool decode_upsert_ops(std::string_view blob,
   return r.ok;
 }
 
-std::vector<std::string> load_examples(Database& db, const std::string& pid) {
-  QueryResult r = db.exec(
-      "SELECT message FROM examples WHERE pid = ? ORDER BY seq", {pid});
+/// The examples of `pid` in seq order, which is also their insertion
+/// order for every row the store writes itself.
+std::vector<std::string> load_examples(const Table& examples,
+                                       std::string_view pid) {
+  std::vector<RowId> ids = examples.find_eq("pid", Value(pid));
+  std::stable_sort(ids.begin(), ids.end(), [&](RowId a, RowId b) {
+    return examples.row(a)[kExampleSeq] < examples.row(b)[kExampleSeq];
+  });
   std::vector<std::string> out;
-  out.reserve(r.rows.size());
-  for (const Row& row : r.rows) out.push_back(row[0].as_text());
+  out.reserve(ids.size());
+  for (const RowId id : ids) {
+    out.push_back(examples.row(id)[kExampleMessage].as_text());
+  }
   return out;
 }
 
-/// A pattern row (kPatternColumns) and its examples, copied out under the
-/// store mutex; decode_rows turns them into Patterns, which readers do
-/// after releasing the mutex.
+/// A pattern row and its examples, copied out under the store mutex;
+/// decode_rows turns them into Patterns, which readers do after releasing
+/// the mutex.
 struct StoredRow {
   Row row;
   std::vector<std::string> examples;
 };
 
-std::vector<StoredRow> take_rows(Database& db, QueryResult&& r) {
+std::vector<StoredRow> take_rows(const Table& examples,
+                                 const std::vector<const Row*>& rows) {
   std::vector<StoredRow> out;
-  out.reserve(r.rows.size());
-  for (Row& row : r.rows) {
-    std::vector<std::string> examples = load_examples(db, row[0].as_text());
-    out.push_back(StoredRow{std::move(row), std::move(examples)});
+  out.reserve(rows.size());
+  for (const Row* row : rows) {
+    out.push_back(
+        StoredRow{*row, load_examples(examples, (*row)[kPid].as_text())});
   }
   return out;
+}
+
+std::vector<const Row*> rows_of(const Table& table,
+                                const std::vector<RowId>& ids) {
+  std::vector<const Row*> out;
+  out.reserve(ids.size());
+  for (const RowId id : ids) out.push_back(&table.row(id));
+  return out;
+}
+
+/// `service`'s pattern rows sorted by pid, with their examples.
+std::vector<StoredRow> take_partition(const Table& patterns,
+                                      const Table& examples,
+                                      std::string_view service) {
+  std::vector<const Row*> rows =
+      rows_of(patterns, patterns.find_eq("service", Value(service)));
+  std::stable_sort(rows.begin(), rows.end(), [](const Row* a, const Row* b) {
+    return (*a)[kPid] < (*b)[kPid];
+  });
+  return take_rows(examples, rows);
 }
 
 /// Decodes stored rows into Patterns. A row that is unrecoverable (both
@@ -326,9 +384,10 @@ std::vector<core::Pattern> decode_rows(std::vector<StoredRow>&& rows) {
   for (StoredRow& stored : rows) {
     const Row& row = stored.row;
     core::Pattern p;
-    if (auto tokens = pattern_tokens_from_json(row[3].as_text())) {
+    if (auto tokens = pattern_tokens_from_json(row[kTokens].as_text())) {
       p.tokens = std::move(*tokens);
-    } else if (auto parsed = core::parse_pattern_text(row[2].as_text())) {
+    } else if (auto parsed =
+                   core::parse_pattern_text(row[kPtext].as_text())) {
       // Degraded fallback: rebuild from the display text (types become
       // String but matching still works).
       p.tokens = std::move(*parsed);
@@ -336,10 +395,10 @@ std::vector<core::Pattern> decode_rows(std::vector<StoredRow>&& rows) {
       store_metrics().corrupt_rows.inc();
       continue;
     }
-    p.service = row[1].as_text();
-    p.stats.match_count = static_cast<std::uint64_t>(row[6].as_int());
-    p.stats.first_seen = row[7].as_int();
-    p.stats.last_matched = row[8].as_int();
+    p.service = row[kService].as_text();
+    p.stats.match_count = static_cast<std::uint64_t>(row[kMatchCount].as_int());
+    p.stats.first_seen = row[kFirstSeen].as_int();
+    p.stats.last_matched = row[kLastMatched].as_int();
     p.examples = std::move(stored.examples);
     out.push_back(std::move(p));
   }
@@ -348,17 +407,29 @@ std::vector<core::Pattern> decode_rows(std::vector<StoredRow>&& rows) {
 
 }  // namespace
 
-PatternStore::PatternStore() { create_schema(); }
+PatternStore::PatternStore() { reset_tables_locked(); }
 
-void PatternStore::create_schema() {
-  db_.exec(
-      "CREATE TABLE patterns (pid TEXT PRIMARY KEY, service TEXT, "
-      "ptext TEXT, tokens TEXT, token_count INTEGER, complexity REAL, "
-      "match_count INTEGER, first_seen INTEGER, last_matched INTEGER)");
-  db_.exec("CREATE INDEX ON patterns (service)");
-  db_.exec(
-      "CREATE TABLE examples (pid TEXT, seq INTEGER, message TEXT)");
-  db_.exec("CREATE INDEX ON examples (pid)");
+void PatternStore::reset_tables_locked() {
+  TableMap tables;
+  tables.emplace("patterns", Table(patterns_schema()));
+  tables.emplace("examples", Table(examples_schema()));
+  adopt_tables_locked(std::move(tables));
+}
+
+bool PatternStore::adopt_tables_locked(TableMap tables) {
+  const auto patterns = tables.find("patterns");
+  const auto examples = tables.find("examples");
+  if (patterns == tables.end() || examples == tables.end() ||
+      patterns->second.schema() != patterns_schema() ||
+      examples->second.schema() != examples_schema()) {
+    return false;
+  }
+  patterns_ = std::move(patterns->second);
+  examples_ = std::move(examples->second);
+  // Snapshots do not persist the secondary indexes.
+  patterns_.add_index("service");
+  examples_.add_index("pid");
+  return true;
 }
 
 std::vector<core::Pattern> PatternStore::load_service(
@@ -370,10 +441,7 @@ std::vector<core::Pattern> PatternStore::load_service(
     // Transparent reload: a spilled partition comes back through its spill
     // file + a kOpReload group before the caller sees any rows.
     ensure_resident_locked(service);
-    rows = take_rows(db_, db_.exec("SELECT " + std::string(kPatternColumns) +
-                                       " FROM patterns WHERE service = ? "
-                                       "ORDER BY pid",
-                                   {Value(service)}));
+    rows = take_partition(patterns_, examples_, service);
     refresh_partition_locked(service);
   }
   // Decoding the token lists is most of a load's work; doing it unlocked
@@ -383,68 +451,58 @@ std::vector<core::Pattern> PatternStore::load_service(
 
 std::vector<std::string> PatternStore::services() {
   std::lock_guard lock(mutex_);
-  QueryResult r = db_.exec("SELECT service FROM patterns ORDER BY service");
   std::vector<std::string> out;
-  for (const Row& row : r.rows) {
-    if (out.empty() || out.back() != row[0].as_text()) {
-      out.push_back(row[0].as_text());
-    }
+  for (const Row* row : patterns_.snapshot()) {
+    out.push_back((*row)[kService].as_text());
   }
   // Spilled partitions are still part of the logical store.
-  if (!spilled_.empty()) {
-    for (const auto& [svc, info] : spilled_) out.push_back(svc);
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
-  }
+  for (const auto& [svc, info] : spilled_) out.push_back(svc);
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
 void PatternStore::apply_upsert(const core::Pattern& p) {
   const std::string pid = p.id();
-  QueryResult existing = db_.exec(
-      "SELECT match_count, first_seen, last_matched, tokens, service "
-      "FROM patterns WHERE pid = ?",
-      {pid});
-  if (existing.rows.empty()) {
+  const std::optional<RowId> existing = patterns_.find_pk(Value(pid));
+  if (!existing.has_value()) {
     const std::string ptext = p.text();
     std::string tokens_json = pattern_tokens_to_json(p.tokens);
     std::size_t bytes =
         pattern_row_bytes(pid, p.service, ptext, tokens_json);
-    db_.exec(
-        "INSERT INTO patterns VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-        {Value(pid), Value(p.service), Value(ptext),
-         Value(std::move(tokens_json)),
-         Value(static_cast<std::int64_t>(p.token_count())),
-         Value(p.complexity()),
-         Value(static_cast<std::int64_t>(p.stats.match_count)),
-         Value(p.stats.first_seen), Value(p.stats.last_matched)});
+    patterns_.insert({Value(pid), Value(p.service), Value(ptext),
+                      Value(std::move(tokens_json)),
+                      Value(static_cast<std::int64_t>(p.token_count())),
+                      Value(p.complexity()),
+                      Value(static_cast<std::int64_t>(p.stats.match_count)),
+                      Value(p.stats.first_seen),
+                      Value(p.stats.last_matched)});
     std::int64_t seq = 0;
     for (const std::string& e : p.examples) {
-      db_.exec("INSERT INTO examples VALUES (?, ?, ?)",
-               {Value(pid), Value(seq++), Value(e)});
+      examples_.insert({Value(pid), Value(seq++), Value(e)});
       bytes += example_row_bytes(e);
     }
     partition_bytes_[p.service] += bytes;
     return;
   }
-  const Row& row = existing.rows.front();
+  Row row = patterns_.row(*existing);
+  const std::int64_t stored_first_seen = row[kFirstSeen].as_int();
   const std::int64_t match_count =
-      row[0].as_int() + static_cast<std::int64_t>(p.stats.match_count);
+      row[kMatchCount].as_int() +
+      static_cast<std::int64_t>(p.stats.match_count);
   const std::int64_t first_seen =
-      (row[1].as_int() == 0 ||
-       (p.stats.first_seen != 0 && p.stats.first_seen < row[1].as_int()))
+      (stored_first_seen == 0 ||
+       (p.stats.first_seen != 0 && p.stats.first_seen < stored_first_seen))
           ? p.stats.first_seen
-          : row[1].as_int();
+          : stored_first_seen;
   const std::int64_t last_matched =
-      std::max(row[2].as_int(), p.stats.last_matched);
+      std::max(row[kLastMatched].as_int(), p.stats.last_matched);
   // The stored row's service owns the charge (it equals p.service unless
   // two text+service concatenations share a hash).
-  std::size_t& bytes = partition_bytes_[row[4].as_text()];
+  std::size_t& bytes = partition_bytes_[row[kService].as_text()];
   // Same text, different variable types (see widen_pattern_tokens): widen
-  // the stored token list so the pattern matches the union. The stats and
-  // tokens land in one UPDATE — one SELECT + one UPDATE per merge, not the
-  // four round trips this used to take.
-  std::string tokens_json = row[3].as_text();
+  // the stored token list so the pattern matches the union.
+  std::string tokens_json = row[kTokens].as_text();
   if (auto tokens = pattern_tokens_from_json(tokens_json)) {
     if (core::widen_pattern_tokens(*tokens, p.tokens)) {
       std::string widened = pattern_tokens_to_json(*tokens);
@@ -452,21 +510,20 @@ void PatternStore::apply_upsert(const core::Pattern& p) {
       tokens_json = std::move(widened);
     }
   }
-  db_.exec(
-      "UPDATE patterns SET match_count = ?, first_seen = ?, "
-      "last_matched = ?, tokens = ? WHERE pid = ?",
-      {Value(match_count), Value(first_seen), Value(last_matched),
-       Value(tokens_json), Value(pid)});
+  row[kTokens] = Value(std::move(tokens_json));
+  row[kMatchCount] = Value(match_count);
+  row[kFirstSeen] = Value(first_seen);
+  row[kLastMatched] = Value(last_matched);
+  patterns_.update_row(*existing, std::move(row));
   // Merge examples up to the configured cap (see
   // PatternRepository::set_example_cap — must agree with the in-memory
   // backend's merge_pattern_into cap or the differential oracle diverges).
-  std::vector<std::string> current = load_examples(db_, pid);
+  std::vector<std::string> current = load_examples(examples_, pid);
   std::int64_t seq = static_cast<std::int64_t>(current.size());
   for (const std::string& e : p.examples) {
     if (current.size() >= example_cap()) break;
     if (std::find(current.begin(), current.end(), e) == current.end()) {
-      db_.exec("INSERT INTO examples VALUES (?, ?, ?)",
-               {Value(pid), Value(seq++), Value(e)});
+      examples_.insert({Value(pid), Value(seq++), Value(e)});
       current.push_back(e);
       bytes += example_row_bytes(e);
     }
@@ -475,33 +532,29 @@ void PatternStore::apply_upsert(const core::Pattern& p) {
 
 std::optional<std::string> PatternStore::apply_record_match(
     const std::string& id, std::uint64_t count, std::int64_t when) {
-  QueryResult existing = db_.exec(
-      "SELECT match_count, last_matched, service FROM patterns WHERE pid = ?",
-      {id});
-  if (existing.rows.empty()) return std::nullopt;
-  const std::int64_t match_count =
-      existing.rows[0][0].as_int() + static_cast<std::int64_t>(count);
-  const std::int64_t last_matched =
-      std::max(existing.rows[0][1].as_int(), when);
-  db_.exec(
-      "UPDATE patterns SET match_count = ?, last_matched = ? WHERE pid = ?",
-      {Value(match_count), Value(last_matched), Value(id)});
-  return existing.rows[0][2].as_text();
+  const std::optional<RowId> existing = patterns_.find_pk(Value(id));
+  if (!existing.has_value()) return std::nullopt;
+  Row row = patterns_.row(*existing);
+  row[kMatchCount] =
+      Value(row[kMatchCount].as_int() + static_cast<std::int64_t>(count));
+  row[kLastMatched] = Value(std::max(row[kLastMatched].as_int(), when));
+  std::string service = row[kService].as_text();
+  patterns_.update_row(*existing, std::move(row));
+  return service;
 }
 
 std::optional<std::string> PatternStore::apply_delete(const std::string& id) {
-  QueryResult existing = db_.exec(
-      "SELECT service, ptext, tokens FROM patterns WHERE pid = ?", {id});
-  if (existing.rows.empty()) return std::nullopt;
-  const Row& row = existing.rows.front();
-  std::string service = row[0].as_text();
-  std::size_t bytes =
-      pattern_row_bytes(id, service, row[1].as_text(), row[2].as_text());
-  for (const std::string& e : load_examples(db_, id)) {
-    bytes += example_row_bytes(e);
+  const std::optional<RowId> existing = patterns_.find_pk(Value(id));
+  if (!existing.has_value()) return std::nullopt;
+  const Row& row = patterns_.row(*existing);
+  std::string service = row[kService].as_text();
+  std::size_t bytes = pattern_row_bytes(id, service, row[kPtext].as_text(),
+                                        row[kTokens].as_text());
+  patterns_.erase(*existing);
+  for (const RowId e : examples_.find_eq("pid", Value(id))) {
+    bytes += example_row_bytes(examples_.row(e)[kExampleMessage].as_text());
+    examples_.erase(e);
   }
-  db_.exec("DELETE FROM patterns WHERE pid = ?", {id});
-  db_.exec("DELETE FROM examples WHERE pid = ?", {id});
   const auto it = partition_bytes_.find(service);
   if (it != partition_bytes_.end()) {
     it->second -= bytes;
@@ -620,9 +673,9 @@ std::optional<core::Pattern> PatternStore::find(const std::string& id) {
   std::vector<StoredRow> rows;
   {
     std::lock_guard lock(mutex_);
-    rows = take_rows(db_, db_.exec("SELECT " + std::string(kPatternColumns) +
-                                       " FROM patterns WHERE pid = ?",
-                                   {id}));
+    if (const auto existing = patterns_.find_pk(Value(id))) {
+      rows = take_rows(examples_, {&patterns_.row(*existing)});
+    }
   }
   std::vector<core::Pattern> found = decode_rows(std::move(rows));
   if (found.empty()) return std::nullopt;
@@ -631,8 +684,7 @@ std::optional<core::Pattern> PatternStore::find(const std::string& id) {
 
 std::size_t PatternStore::pattern_count() {
   std::lock_guard lock(mutex_);
-  QueryResult r = db_.exec("SELECT pid FROM patterns");
-  std::size_t count = r.rows.size();
+  std::size_t count = patterns_.size();
   for (const auto& [svc, info] : spilled_) count += info.patterns;
   return count;
 }
@@ -640,22 +692,23 @@ std::size_t PatternStore::pattern_count() {
 std::vector<core::Pattern> PatternStore::export_patterns(
     const ExportFilter& filter) {
   std::lock_guard lock(mutex_);
-  QueryResult r;
-  if (filter.service.empty()) {
-    r = db_.exec("SELECT " + std::string(kPatternColumns) +
-                 " FROM patterns ORDER BY match_count DESC");
-  } else {
-    r = db_.exec("SELECT " + std::string(kPatternColumns) +
-                     " FROM patterns WHERE service = ? "
-                     "ORDER BY match_count DESC",
-                 {Value(filter.service)});
-  }
-  std::erase_if(r.rows, [&](const Row& row) {
-    return static_cast<std::uint64_t>(row[6].as_int()) <
+  // Both row sets are in insertion order, which breaks match-count ties.
+  std::vector<const Row*> resident =
+      filter.service.empty()
+          ? patterns_.snapshot()
+          : rows_of(patterns_,
+                    patterns_.find_eq("service", Value(filter.service)));
+  std::erase_if(resident, [&](const Row* row) {
+    return static_cast<std::uint64_t>((*row)[kMatchCount].as_int()) <
                filter.min_match_count ||
-           row[5].as_real() >= filter.max_complexity;
+           (*row)[kComplexity].as_real() >= filter.max_complexity;
   });
-  std::vector<core::Pattern> out = decode_rows(take_rows(db_, std::move(r)));
+  std::stable_sort(resident.begin(), resident.end(),
+                   [](const Row* a, const Row* b) {
+                     return (*b)[kMatchCount] < (*a)[kMatchCount];
+                   });
+  std::vector<core::Pattern> out =
+      decode_rows(take_rows(examples_, resident));
   // Read-through over spilled partitions: decode the spill files directly
   // (no reload — export must not change residency), then restore the
   // match-count ordering across the combined set.
@@ -685,7 +738,8 @@ bool PatternStore::save(const std::string& path) {
   if (obs::telemetry_enabled()) store_metrics().save.inc();
   obs::StageTimer timer(store_metrics().persist_seconds);
   std::lock_guard lock(mutex_);
-  return db_.save(path);
+  return save_snapshot(path, {{"patterns", &patterns_},
+                              {"examples", &examples_}});
 }
 
 bool PatternStore::load(const std::string& path) {
@@ -694,19 +748,11 @@ bool PatternStore::load(const std::string& path) {
   std::lock_guard lock(mutex_);
   spilled_.clear();
   partition_bytes_.clear();
-  if (!db_.load(path)) {
-    db_ = Database();
-    create_schema();
+  std::optional<TableMap> tables = load_snapshot(path);
+  if (!tables.has_value() || !adopt_tables_locked(std::move(*tables))) {
+    reset_tables_locked();
     return false;
   }
-  if (!db_.has_table("patterns") || !db_.has_table("examples")) {
-    db_ = Database();
-    create_schema();
-    return false;
-  }
-  // Recreate the secondary indexes (snapshots do not persist them).
-  db_.exec("CREATE INDEX ON patterns (service)");
-  db_.exec("CREATE INDEX ON examples (pid)");
   seed_partition_bytes_locked();
   return true;
 }
@@ -788,8 +834,7 @@ bool PatternStore::open(const std::string& dir) {
   std::lock_guard lock(mutex_);
   wal_.close();
   dir_.clear();
-  db_ = Database();
-  create_schema();
+  reset_tables_locked();
   snapshot_seq_ = 0;
   spilled_.clear();
   partition_bytes_.clear();
@@ -813,15 +858,11 @@ bool PatternStore::open(const std::string& dir) {
   std::sort(seqs.rbegin(), seqs.rend());
   for (const std::uint64_t seq : seqs) {
     const std::string path = (fs::path(dir) / snapshot_name(seq)).string();
-    if (db_.load(path) && db_.has_table("patterns") &&
-        db_.has_table("examples")) {
-      db_.exec("CREATE INDEX ON patterns (service)");
-      db_.exec("CREATE INDEX ON examples (pid)");
+    std::optional<TableMap> tables = load_snapshot(path);
+    if (tables.has_value() && adopt_tables_locked(std::move(*tables))) {
       snapshot_seq_ = seq;
       break;
     }
-    db_ = Database();
-    create_schema();
   }
   // From here on the WAL replay keeps the ledger by deltas.
   seed_partition_bytes_locked();
@@ -831,8 +872,7 @@ bool PatternStore::open(const std::string& dir) {
   Wal::ReplayResult recovered;
   const std::string wal_path = (fs::path(dir) / kWalFile).string();
   if (!wal_.open(wal_path, &recovered)) {
-    db_ = Database();
-    create_schema();
+    reset_tables_locked();
     partition_bytes_.clear();
     return false;
   }
@@ -865,7 +905,10 @@ bool PatternStore::checkpoint() {
   const fs::path dir(dir_);
   const std::string final_path = (dir / snapshot_name(seq)).string();
   const std::string tmp_path = final_path + ".tmp";
-  if (!db_.save(tmp_path)) return false;
+  if (!save_snapshot(tmp_path, {{"patterns", &patterns_},
+                                {"examples", &examples_}})) {
+    return false;
+  }
   if (!fsync_path(tmp_path)) return false;
   if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) return false;
   if (!fsync_dir(dir_)) return false;
@@ -934,63 +977,38 @@ bool PatternStore::write_spill_file_locked(std::string_view service,
   return true;
 }
 
-std::vector<core::Pattern> PatternStore::partition_rows_locked(
-    std::string_view service) {
-  return decode_rows(
-      take_rows(db_, db_.exec("SELECT " + std::string(kPatternColumns) +
-                                  " FROM patterns WHERE service = ? "
-                                  "ORDER BY pid",
-                              {Value(service)})));
-}
-
 std::size_t PatternStore::partition_bytes_locked(std::string_view service) {
-  QueryResult r = db_.exec(
-      "SELECT pid, service, ptext, tokens FROM patterns WHERE service = ?",
-      {Value(service)});
   std::size_t total = 0;
-  for (const Row& row : r.rows) {
-    total += pattern_row_bytes(row[0].as_text(), row[1].as_text(),
-                               row[2].as_text(), row[3].as_text());
-    QueryResult ex =
-        db_.exec("SELECT message FROM examples WHERE pid = ?",
-                 {row[0].as_text()});
-    for (const Row& e : ex.rows) total += example_row_bytes(e[0].as_text());
+  for (const RowId id : patterns_.find_eq("service", Value(service))) {
+    const Row& row = patterns_.row(id);
+    total += pattern_row_bytes(row[kPid].as_text(), row[kService].as_text(),
+                               row[kPtext].as_text(), row[kTokens].as_text());
+    for (const RowId e : examples_.find_eq("pid", Value(row[kPid].as_text()))) {
+      total += example_row_bytes(examples_.row(e)[kExampleMessage].as_text());
+    }
   }
   return total;
 }
 
 void PatternStore::seed_partition_bytes_locked() {
   partition_bytes_.clear();
-  const Table* patterns = db_.table("patterns");
-  const Table* examples = db_.table("examples");
-  if (patterns == nullptr || examples == nullptr) return;
-  const Schema& ps = patterns->schema();
-  const Schema& es = examples->schema();
-  const int pid = ps.column_index("pid");
-  const int service = ps.column_index("service");
-  const int ptext = ps.column_index("ptext");
-  const int tokens = ps.column_index("tokens");
-  const int example_pid = es.column_index("pid");
-  const int message = es.column_index("message");
-  if (pid < 0 || service < 0 || ptext < 0 || tokens < 0 ||
-      example_pid < 0 || message < 0) {
-    return;
-  }
-  const auto text = [](const Row* row, int col) -> const std::string& {
-    return (*row)[static_cast<std::size_t>(col)].as_text();
+  const auto text = [](const Row* row, std::size_t col) -> const std::string& {
+    return (*row)[col].as_text();
   };
   // pid -> its service's entry, so each example row charges its owner.
   std::unordered_map<std::string_view, std::size_t*> owner;
-  owner.reserve(patterns->size());
-  for (const Row* row : patterns->snapshot()) {
-    std::size_t& bytes = partition_bytes_[text(row, service)];
-    bytes += pattern_row_bytes(text(row, pid), text(row, service),
-                               text(row, ptext), text(row, tokens));
-    owner.emplace(text(row, pid), &bytes);
+  owner.reserve(patterns_.size());
+  for (const Row* row : patterns_.snapshot()) {
+    std::size_t& bytes = partition_bytes_[text(row, kService)];
+    bytes += pattern_row_bytes(text(row, kPid), text(row, kService),
+                               text(row, kPtext), text(row, kTokens));
+    owner.emplace(text(row, kPid), &bytes);
   }
-  for (const Row* row : examples->snapshot()) {
-    const auto it = owner.find(text(row, example_pid));
-    if (it != owner.end()) *it->second += example_row_bytes(text(row, message));
+  for (const Row* row : examples_.snapshot()) {
+    const auto it = owner.find(text(row, kExamplePid));
+    if (it != owner.end()) {
+      *it->second += example_row_bytes(text(row, kExampleMessage));
+    }
   }
 }
 
@@ -1009,12 +1027,13 @@ void PatternStore::refresh_partition_locked(std::string_view service) {
 }
 
 void PatternStore::erase_partition_locked(std::string_view service) {
-  QueryResult r =
-      db_.exec("SELECT pid FROM patterns WHERE service = ?", {Value(service)});
-  for (const Row& row : r.rows) {
-    db_.exec("DELETE FROM examples WHERE pid = ?", {row[0].as_text()});
+  for (const RowId id : patterns_.find_eq("service", Value(service))) {
+    for (const RowId e :
+         examples_.find_eq("pid", Value(patterns_.row(id)[kPid].as_text()))) {
+      examples_.erase(e);
+    }
+    patterns_.erase(id);
   }
-  db_.exec("DELETE FROM patterns WHERE service = ?", {Value(service)});
   const auto it = partition_bytes_.find(service);
   if (it != partition_bytes_.end()) partition_bytes_.erase(it);
 }
@@ -1108,7 +1127,8 @@ bool PatternStore::spill_partition(const std::string& service) {
   if (governor_ != nullptr && !governor_->try_claim_spill(service)) {
     return false;
   }
-  std::vector<core::Pattern> rows = partition_rows_locked(service);
+  std::vector<core::Pattern> rows =
+      decode_rows(take_partition(patterns_, examples_, service));
   if (rows.empty()) {
     // Nothing to spill. Refresh so a zero-row LRU entry (left by pin/touch
     // on a service with no stored patterns) is dropped once unpinned
@@ -1168,9 +1188,7 @@ void PatternStore::reconcile_spill_files_locked() {
       fs::remove(entry.path(), ec);
       continue;
     }
-    QueryResult r = db_.exec("SELECT pid FROM patterns WHERE service = ?",
-                             {file.service});
-    if (!r.rows.empty()) {
+    if (!patterns_.find_eq("service", Value(file.service)).empty()) {
       // Stale leftover of an interrupted spill: the kOpSpill group never
       // committed, so the rows are still resident and authoritative.
       fs::remove(entry.path(), ec);
@@ -1209,15 +1227,9 @@ std::vector<std::string> PatternStore::spilled_services() {
 std::map<std::string, std::size_t> PatternStore::recount_partition_bytes() {
   std::lock_guard lock(mutex_);
   std::map<std::string, std::size_t> out;
-  QueryResult r = db_.exec("SELECT service FROM patterns ORDER BY service");
-  bool have_last = false;
-  std::string last;
-  for (const Row& row : r.rows) {
-    std::string svc = row[0].as_text();
-    if (have_last && svc == last) continue;
-    out[svc] = partition_bytes_locked(svc);
-    last = std::move(svc);
-    have_last = true;
+  for (const Row* row : patterns_.snapshot()) {
+    const std::string& svc = (*row)[kService].as_text();
+    if (out.find(svc) == out.end()) out[svc] = partition_bytes_locked(svc);
   }
   return out;
 }

@@ -1,4 +1,4 @@
-// PatternStore: persistent pattern repository over the embedded database.
+// PatternStore: persistent pattern repository over two typed tables.
 //
 // Implements RTG extension #2: "Sequence-RTG stores the patterns in a SQL
 // database in a one-to-many relationship with their related services. We
@@ -12,7 +12,8 @@
 //            token_count INTEGER, complexity REAL, match_count INTEGER,
 //            first_seen INTEGER, last_matched INTEGER)
 //   examples(pid TEXT, seq INTEGER, message TEXT)
-// with secondary indexes on patterns(service) and examples(pid).
+// with secondary indexes on patterns(service) and examples(pid). The store
+// owns both as store::Tables; snapshot files persist them (store/snapshot).
 //
 // `tokens` holds the exact token list as JSON so typed variables round-trip
 // losslessly (the display text alone cannot distinguish a key-named
@@ -41,7 +42,8 @@
 #include "core/governor.hpp"
 #include "core/pattern.hpp"
 #include "core/repository.hpp"
-#include "store/database.hpp"
+#include "store/snapshot.hpp"
+#include "store/table.hpp"
 #include "store/token_codec.hpp"
 #include "store/wal.hpp"
 
@@ -50,7 +52,7 @@ namespace seqrtg::store {
 // Partition spill (resource governance, DESIGN.md §17):
 //
 // A spilled partition's rows live in a per-service `spill-<hash>.sp` file
-// (write-to-temp + fsync + rename) instead of the in-memory database. Two
+// (write-to-temp + fsync + rename) instead of the in-memory tables. Two
 // WAL ops make residency transitions replayable AND replicable:
 //
 //   kOpSpill(service, rows)  — erase the partition's rows, (re)write its
@@ -76,7 +78,7 @@ namespace seqrtg::store {
 class PatternStore final : public core::PatternRepository,
                            public core::SpillTarget {
  public:
-  /// Creates the schema in a fresh in-memory database.
+  /// Starts with empty, non-durable tables.
   PatternStore();
 
   // PatternRepository:
@@ -93,7 +95,7 @@ class PatternStore final : public core::PatternRepository,
   /// commit_batch() the WAL records of every mutation are buffered and
   /// appended+fsynced as ONE commit group, so the durable store either
   /// holds the whole batch or none of it. abort_batch() discards the
-  /// buffered records — the in-memory database keeps any ops already
+  /// buffered records — the in-memory tables keep any ops already
   /// applied, so an aborted batch leaves memory ahead of the log; reopen
   /// the directory to fall back to the last committed state.
   ///
@@ -107,6 +109,8 @@ class PatternStore final : public core::PatternRepository,
 
   /// All patterns (optionally filtered), ordered by match count descending —
   /// the review/export ordering ("select only the strongest patterns").
+  /// Resident patterns with equal counts keep their insertion order, with
+  /// or without a service filter; spilled ones follow them.
   struct ExportFilter {
     std::uint64_t min_match_count = 0;
     /// Patterns at or above this complexity are excluded (1.01 = keep all).
@@ -193,9 +197,6 @@ class PatternStore final : public core::PatternRepository,
   /// (read after the writers have quiesced).
   bool wal_wedged() const { return wal_.wedged(); }
 
-  /// Direct access for ad-hoc SQL (tests, tooling).
-  Database& database() { return db_; }
-
   /// Governance wiring: registers this store as the governor's spill
   /// target, seeds the accountant's ledger and the governor's LRU with
   /// the current resident partitions, and from then on reports every
@@ -217,13 +218,21 @@ class PatternStore final : public core::PatternRepository,
   std::vector<std::string> spilled_services();
 
   /// Authoritative recount of every resident partition's bytes, computed
-  /// from the rows themselves with one query per row. The store's own
+  /// from the rows themselves with one lookup per row. The store's own
   /// ledger is kept by deltas and never calls this; it exists for the
   /// governance audit (the accountant's ledger is checked against it).
   std::map<std::string, std::size_t> recount_partition_bytes();
 
  private:
-  void create_schema();
+  /// Test-only route to the raw tables (tests/store/ledger_property_test).
+  friend struct PatternStoreTestAccess;
+
+  /// Replaces both tables with empty ones.
+  void reset_tables_locked();
+  /// Takes the `patterns` and `examples` tables of a parsed snapshot.
+  /// False (tables untouched) when either is missing or its schema is not
+  /// the store's; other tables are ignored.
+  bool adopt_tables_locked(TableMap tables);
 
   // Unlocked mutation bodies shared by the public entry points and WAL
   // replay (replay must not re-append). Every write to the pattern and
@@ -248,11 +257,10 @@ class PatternStore final : public core::PatternRepository,
                                std::string_view rows_blob, bool fsync);
   bool ensure_resident_locked(std::string_view service);
   void erase_partition_locked(std::string_view service);
-  std::vector<core::Pattern> partition_rows_locked(std::string_view service);
   /// Recount of one partition (recount_partition_bytes' per-service step).
   std::size_t partition_bytes_locked(std::string_view service);
   /// Rebuilds partition_bytes_ from the tables in one pass over the rows
-  /// (after a snapshot load replaced the database).
+  /// (after a snapshot load replaced them).
   void seed_partition_bytes_locked();
   /// Reports `service`'s partition_bytes_ entry to the accountant (and its
   /// LRU presence to the governor) after a mutation. No-op without an
@@ -275,7 +283,8 @@ class PatternStore final : public core::PatternRepository,
   void replay_ops(std::string_view ops);
 
   std::mutex mutex_;
-  Database db_;
+  Table patterns_;
+  Table examples_;
   Wal wal_;
   std::string dir_;
   std::uint64_t snapshot_seq_ = 0;

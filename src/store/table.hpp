@@ -1,11 +1,11 @@
-// Table: rows + schema + equality indexes for the embedded store.
+// Table: rows + schema + equality indexes for the pattern store.
 //
 // Rows live in an append-only arena with tombstone deletion so index entries
-// (row ids) stay stable; compaction happens on save. One optional UNIQUE
-// primary-key index plus any number of secondary (non-unique) equality
-// indexes. This is deliberately a hash-index design: every query the
-// pattern workflow issues is an equality lookup (by id, by service) or a
-// full scan with ORDER BY, so B-trees would buy nothing.
+// (row ids) stay stable; compaction happens when a snapshot is written. One
+// optional UNIQUE primary-key index plus any number of secondary
+// (non-unique) equality indexes. This is deliberately a hash-index design:
+// every lookup the pattern store makes is an equality lookup (by id, by
+// service) or a walk over all rows, so B-trees would buy nothing.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +22,8 @@ namespace seqrtg::store {
 struct Column {
   std::string name;
   ValueType type = ValueType::Text;
+
+  bool operator==(const Column&) const = default;
 };
 
 struct Schema {
@@ -30,9 +32,12 @@ struct Schema {
   int primary_key = -1;
 
   int column_index(std::string_view name) const;
+
+  bool operator==(const Schema&) const = default;
 };
 
-/// Stable row identifier within a table (arena slot).
+/// Stable row identifier within a table (arena slot). Ids grow with
+/// insertion, so ascending ids are insertion order.
 using RowId = std::size_t;
 
 class Table {
@@ -45,8 +50,8 @@ class Table {
   /// Number of live rows.
   std::size_t size() const { return live_count_; }
 
-  /// Inserts a row (must match the schema arity; values are type-coerced is
-  /// NOT performed — callers bind correct types). Fails (returns false)
+  /// Inserts a row (must match the schema arity; values are not
+  /// type-coerced — callers bind correct types). Fails (returns false)
   /// on primary-key violation.
   bool insert(Row row);
 
@@ -57,17 +62,16 @@ class Table {
   /// rows). Returns false for unknown columns.
   bool add_index(std::string_view column);
 
-  /// All live rows whose `column` equals `key`; uses an index when one
-  /// exists, otherwise scans.
+  /// All live rows whose `column` equals `key`, in insertion order.
+  /// `column` must carry an index (add_index); any other column finds
+  /// nothing.
   std::vector<RowId> find_eq(std::string_view column, const Value& key) const;
-
-  /// All live row ids in insertion order.
-  std::vector<RowId> all_rows() const;
 
   const Row& row(RowId id) const { return *rows_[id]; }
 
-  /// In-place update. Maintains indexes. Returns false when the primary
-  /// key would collide.
+  /// In-place update. Re-indexes only the indexed columns whose value
+  /// changes, keeping each index in insertion order. Returns false when
+  /// the primary key would collide.
   bool update_row(RowId id, Row new_values);
 
   void erase(RowId id);
@@ -76,18 +80,22 @@ class Table {
   std::vector<const Row*> snapshot() const;
 
  private:
-  void index_row(RowId id);
-  void unindex_row(RowId id);
+  struct Index {
+    std::string column_name;
+    std::size_t column = 0;
+    /// value encode() -> row ids, ascending.
+    std::unordered_map<std::string, std::vector<RowId>> ids;
+  };
+
+  void link(Index& index, const Value& key, RowId id);
+  void unlink(Index& index, const Value& key, RowId id);
 
   Schema schema_;
   std::vector<std::optional<Row>> rows_;
   std::size_t live_count_ = 0;
   /// pk encode() -> RowId.
   std::unordered_map<std::string, RowId> pk_index_;
-  /// column -> (value encode() -> row ids).
-  std::unordered_map<std::string,
-                     std::unordered_map<std::string, std::vector<RowId>>>
-      secondary_;
+  std::vector<Index> secondary_;
 };
 
 }  // namespace seqrtg::store

@@ -89,7 +89,7 @@ std::string Value::encode() const {
       return buf;
     }
     case ValueType::Text:
-      return "T" + util::json_escape(std::get<std::string>(v_));
+      return 'T' + util::json_escape(std::get<std::string>(v_));
   }
   return "N";
 }
@@ -121,7 +121,7 @@ Value Value::decode(std::string_view text, bool* ok) {
     }
     case 'T': {
       // The text payload is JSON-escaped; reuse the JSON string parser.
-      const std::string quoted = "\"" + std::string(body) + "\"";
+      const std::string quoted = '"' + std::string(body) + '"';
       const util::JsonParseResult parsed = util::json_parse(quoted);
       if (!parsed.ok() || !parsed.value.is_string()) {
         *ok = false;

@@ -1,10 +1,10 @@
-// Typed values for the embedded relational store.
+// Typed values for the pattern store's tables.
 //
 // The paper persists patterns "in a SQL database in a one-to-many
 // relationship with their related services" (§III). This repository has no
-// external database dependency, so src/store implements a small embedded
-// relational engine: typed tables, equality indexes, a compact SQL dialect
-// and file persistence. Value is its scalar type system: NULL, INTEGER
+// external database dependency, so src/store keeps the two tables itself:
+// typed tables with equality indexes (store/table) persisted as snapshot
+// files (store/snapshot). Value is their scalar type system: NULL, INTEGER
 // (int64), REAL (double) and TEXT.
 #pragma once
 
@@ -23,10 +23,8 @@ std::string_view value_type_name(ValueType t);
 class Value {
  public:
   Value() : v_(std::monostate{}) {}
-  Value(std::nullptr_t) : v_(std::monostate{}) {}
   Value(std::int64_t i) : v_(i) {}
   Value(int i) : v_(static_cast<std::int64_t>(i)) {}
-  Value(std::uint64_t i) : v_(static_cast<std::int64_t>(i)) {}
   Value(double d) : v_(d) {}
   Value(std::string s) : v_(std::move(s)) {}
   Value(std::string_view s) : v_(std::string(s)) {}
@@ -41,14 +39,12 @@ class Value {
     }
   }
 
-  bool is_null() const { return type() == ValueType::Null; }
-
   std::int64_t as_int() const;
   double as_real() const;
   const std::string& as_text() const;
 
-  /// SQL-style comparison; NULLs sort first, cross-numeric types compare
-  /// numerically, numbers sort before text.
+  /// Total order used for sorting rows: NULLs sort first, cross-numeric
+  /// types compare numerically, numbers sort before text.
   int compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return compare(other) == 0; }

@@ -44,7 +44,7 @@ bool ArgParser::parse(const std::vector<std::string>& args) {
         error_ = "flag --" + name + " takes no value";
         return false;
       }
-      values_[name] = "1";
+      values_.emplace(name, "1");
       continue;
     }
     if (has_inline) {

@@ -63,7 +63,7 @@ TEST(ValueSketch, TracksDistinctValuesUpToCap) {
   EXPECT_EQ(s.observations, 2u);
   s.observe("b");
   EXPECT_FALSE(s.singleton());
-  for (int i = 0; i < 20; ++i) s.observe("v" + std::to_string(i));
+  for (int i = 0; i < 20; ++i) s.observe('v' + std::to_string(i));
   EXPECT_TRUE(s.overflow);
   EXPECT_LE(s.values.size(), ValueSketch::kMaxValues);
 }
@@ -119,10 +119,10 @@ TEST(SketchRegistry, ChunkedMergeEqualsPerRecordObserve) {
       // kMaxValues cap so singletons, fills and overflows all occur.
       const std::size_t alphabet =
           rng.chance(0.5) ? 1 + rng.next_below(3) : 6 + rng.next_below(30);
-      specs.push_back({"p" + std::to_string(p), rng.next_below(4), alphabet});
+      specs.push_back({'p' + std::to_string(p), rng.next_below(4), alphabet});
     }
     const auto value = [&](const Spec& spec) {
-      return "v" + std::to_string(rng.next_below(spec.alphabet));
+      return 'v' + std::to_string(rng.next_below(spec.alphabet));
     };
 
     SketchRegistry merged;
@@ -170,7 +170,7 @@ TEST(SketchRegistry, ChunkedMergeEqualsPerRecordObserve) {
       for (std::size_t r = 0; r < records; ++r) {
         ParsedFields fields;
         for (std::size_t i = 0; i < spec.arity; ++i) {
-          fields.emplace_back("f" + std::to_string(i), value(spec));
+          fields.emplace_back('f' + std::to_string(i), value(spec));
           local[i].observe(fields.back().second);
         }
         reference.observe(spec.id, fields);

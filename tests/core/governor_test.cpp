@@ -180,7 +180,7 @@ TEST(Governor, EnforceRespectsSpillBatchBound) {
   policy.spill_batch = 2;
   Harness h(policy);
   for (int i = 0; i < 6; ++i) {
-    h.add("s" + std::to_string(i), 100);
+    h.add('s' + std::to_string(i), 100);
   }
   EXPECT_EQ(h.governor.enforce(), 2u)
       << "one safe point spills at most spill_batch partitions";

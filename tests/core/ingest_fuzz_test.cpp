@@ -485,7 +485,9 @@ TEST(IngestFuzz, DecoderEdgeCasesMatchDomRoute) {
     const std::optional<LogRecord> got = JsonStreamIngester::parse_line(doc);
     const std::optional<LogRecord> want = dom_parse_line(doc);
     ASSERT_EQ(got.has_value(), want.has_value()) << "document: " << doc;
-    if (want.has_value()) EXPECT_EQ(*got, *want) << "document: " << doc;
+    if (want.has_value()) {
+      EXPECT_EQ(*got, *want) << "document: " << doc;
+    }
   }
   EXPECT_TRUE(JsonStreamIngester::parse_line(deep_ok).has_value());
   EXPECT_FALSE(JsonStreamIngester::parse_line(deep_bad).has_value());

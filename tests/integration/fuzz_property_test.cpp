@@ -1,15 +1,13 @@
-// Robustness property tests: the scanner, JSON parser, SQL parser and XML
-// reader sit on untrusted input paths (log payloads arrive from every
-// daemon in the fleet), so none of them may crash, hang or mis-account on
-// arbitrary bytes. Seeds are fixed; each case runs thousands of random
-// inputs.
+// Robustness property tests: the scanner, JSON parser and XML reader sit
+// on untrusted input paths (log payloads arrive from every daemon in the
+// fleet), so none of them may crash, hang or mis-account on arbitrary
+// bytes. Seeds are fixed; each case runs thousands of random inputs.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "core/pattern.hpp"
 #include "core/scanner.hpp"
-#include "store/sql.hpp"
 #include "util/json.hpp"
 #include "util/rng.hpp"
 #include "util/xml.hpp"
@@ -114,24 +112,6 @@ TEST(JsonFuzz, TruncationsOfValidDocumentNeverCrash) {
   }
 }
 
-TEST(SqlFuzz, ArbitraryStatementsNeverCrash) {
-  util::Rng rng(0x5EED);
-  for (int i = 0; i < 5000; ++i) {
-    std::string error;
-    (void)store::sql_parse(random_printable(rng, 150), &error);
-  }
-}
-
-TEST(SqlFuzz, TruncationsOfValidStatementNeverCrash) {
-  const std::string sql =
-      "SELECT a, b FROM t WHERE x = ? AND y = 'str''x' "
-      "ORDER BY c DESC LIMIT 10";
-  for (std::size_t cut = 0; cut <= sql.size(); ++cut) {
-    std::string error;
-    (void)store::sql_parse(sql.substr(0, cut), &error);
-  }
-}
-
 TEST(XmlFuzz, ArbitraryBytesNeverCrash) {
   util::Rng rng(0xD00D);
   for (int i = 0; i < 5000; ++i) {
@@ -144,7 +124,9 @@ TEST(XmlFuzz, TruncationsOfValidDocumentNeverCrash) {
       "<?xml version=\"1.0\"?><a x=\"1\"><!-- c --><b>t&amp;t</b><c/></a>";
   for (std::size_t cut = 0; cut <= doc.size(); ++cut) {
     const auto result = util::xml_parse(doc.substr(0, cut));
-    if (cut == doc.size()) EXPECT_TRUE(result.ok());
+    if (cut == doc.size()) {
+      EXPECT_TRUE(result.ok());
+    }
   }
 }
 

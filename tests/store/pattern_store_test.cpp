@@ -1,14 +1,57 @@
 #include "store/pattern_store.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <limits>
+#include <sstream>
 
 #include "obs/metrics.hpp"
+#include "util/rng.hpp"
 
 namespace seqrtg::store {
 namespace {
+
+namespace fs = std::filesystem;
+
+/// A per-process scratch path (ctest runs cases of one binary in
+/// parallel).
+fs::path temp_path(const std::string& name) {
+  return fs::temp_directory_path() /
+         ("seqrtg_store_" + name + "_" + std::to_string(::getpid()));
+}
+
+std::string read_file(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream s;
+  s << in.rdbuf();
+  return s.str();
+}
+
+void write_file(const fs::path& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out << text;
+}
+
+/// Appends `row` to the patterns table of the snapshot at `path`: the way
+/// a damaged row really reaches a store.
+void plant_pattern_row(const fs::path& path, const Row& row) {
+  std::string text = read_file(path);
+  // patterns sorts after examples, so its end line closes the file.
+  ASSERT_TRUE(text.ends_with("\nend\n"));
+  std::string line = "row";
+  for (const Value& v : row) line += '\t' + v.encode();
+  text.insert(text.size() - 4, line + "\n");
+  write_file(path, text);
+}
+
+obs::Counter& corrupt_rows() {
+  return obs::default_registry().counter("seqrtg_store_corrupt_rows_total",
+                                         "");
+}
 
 core::Pattern make_pattern(std::string service, std::string text_word,
                            std::uint64_t count = 1) {
@@ -244,15 +287,20 @@ TEST(PatternStore, LoadFailureLeavesUsableEmptyStore) {
 }
 
 TEST(PatternStore, CorruptRowIsSkippedAndCounted) {
-  PatternStore store;
-  store.upsert_pattern(make_pattern("svc", "good", 5));
+  const fs::path path = temp_path("corrupt_row.db");
+  {
+    PatternStore store;
+    store.upsert_pattern(make_pattern("svc", "good", 5));
+    ASSERT_TRUE(store.save(path.string()));
+  }
   // A row whose tokens JSON AND display text are both unparseable: readers
   // must skip it (never abort the scan) and count it.
-  store.database().exec(
-      "INSERT INTO patterns VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-      {"badrow", "svc", "%unterminated", "{{{not json", 1, 0.0, 3, 1, 1});
-  auto& corrupt =
-      obs::default_registry().counter("seqrtg_store_corrupt_rows_total", "");
+  plant_pattern_row(path, {"badrow", "svc", "%unterminated", "{{{not json", 1,
+                           0.0, 3, 1, 1});
+  PatternStore store;
+  ASSERT_TRUE(store.load(path.string()));
+  fs::remove(path);
+  auto& corrupt = corrupt_rows();
   const std::uint64_t before = corrupt.value();
   const auto patterns = store.load_service("svc");
   ASSERT_EQ(patterns.size(), 1u);
@@ -264,12 +312,15 @@ TEST(PatternStore, CorruptRowIsSkippedAndCounted) {
 }
 
 TEST(PatternStore, DegradedRowFallsBackToDisplayText) {
-  PatternStore store;
+  const fs::path path = temp_path("degraded_row.db");
+  ASSERT_TRUE(PatternStore().save(path.string()));
   // Valid display text, corrupt JSON: the row survives with String-typed
   // variables instead of being dropped.
-  store.database().exec(
-      "INSERT INTO patterns VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-      {"degraded", "svc", "login %user%", "not json", 2, 0.5, 4, 1, 1});
+  plant_pattern_row(path, {"degraded", "svc", "login %user%", "not json", 2,
+                           0.5, 4, 1, 1});
+  PatternStore store;
+  ASSERT_TRUE(store.load(path.string()));
+  fs::remove(path);
   const auto found = store.find("degraded");
   ASSERT_TRUE(found.has_value());
   EXPECT_EQ(found->text(), "login %user%");
@@ -281,6 +332,205 @@ TEST(PatternStore, WorksThroughRepositoryInterface) {
   repo.upsert_pattern(make_pattern("s", "via-interface"));
   EXPECT_EQ(repo.pattern_count(), 1u);
   EXPECT_EQ(repo.services().size(), 1u);
+}
+
+TEST(PatternStore, ExportBreaksCountTiesByInsertion) {
+  // alpha is inserted first and record_match brings it level with beta:
+  // both exports list the tie in insertion order, live and after either
+  // kind of reopen.
+  const fs::path dir = temp_path("export_ties");
+  fs::remove_all(dir);
+  const core::Pattern alpha = make_pattern("svc", "alpha", 1);
+  const core::Pattern beta = make_pattern("svc", "beta", 2);
+  const auto check = [](PatternStore& store, const char* when) {
+    PatternStore::ExportFilter by_service;
+    by_service.service = "svc";
+    for (const auto& filter : {PatternStore::ExportFilter{}, by_service}) {
+      std::vector<std::string> order;
+      for (const core::Pattern& p : store.export_patterns(filter)) {
+        order.push_back(p.tokens[0].text);
+      }
+      EXPECT_EQ(order, (std::vector<std::string>{"alpha", "beta"}))
+          << when << (filter.service.empty() ? "" : ", filtered");
+    }
+  };
+  {
+    PatternStore store;
+    ASSERT_TRUE(store.open(dir.string()));
+    store.upsert_pattern(alpha);
+    store.upsert_pattern(beta);
+    store.record_match(alpha.id(), 1, 200);
+    check(store, "live");
+  }
+  {
+    PatternStore store;
+    ASSERT_TRUE(store.open(dir.string()));
+    check(store, "after WAL replay");
+    ASSERT_TRUE(store.checkpoint());
+  }
+  PatternStore store;
+  ASSERT_TRUE(store.open(dir.string()));
+  EXPECT_GT(store.durability_stats().snapshot_seq, 0u);
+  check(store, "after snapshot reopen");
+  fs::remove_all(dir);
+}
+
+/// The text of a saved one-pattern store (service "svc") with each
+/// `from` replaced by its `to`.
+std::string edited_snapshot(
+    const std::vector<std::pair<std::string, std::string>>& edits) {
+  const fs::path path = temp_path("schema_base.db");
+  PatternStore store;
+  store.upsert_pattern(make_pattern("svc", "e", 1));
+  EXPECT_TRUE(store.save(path.string()));
+  std::string text = read_file(path);
+  fs::remove(path);
+  for (const auto& [from, to] : edits) {
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos) text.replace(at, from.size(), to);
+  }
+  return text;
+}
+
+TEST(PatternStore, LoadRejectsWrongTableSchema) {
+  // Each damaged file still parses; the store must refuse it anyway,
+  // because rows laid out for another schema cannot be read.
+  const std::vector<std::vector<std::pair<std::string, std::string>>>
+      damages = {
+          // The last column dropped from the header and from the row.
+          {{"col last_matched INTEGER\n", ""}, {"\tI100\nend\n", "\nend\n"}},
+          {{"col match_count INTEGER", "col match_count TEXT"}},
+          {{"col ptext TEXT", "col text TEXT"}},
+          {{"table patterns 9 0", "table patterns 9 1"}},
+          {{"table examples 3 -1", "table examples 3 0"}},
+      };
+  for (const auto& edits : damages) {
+    const std::string what = edits.front().second;
+    const fs::path path = temp_path("schema.db");
+    write_file(path, edited_snapshot(edits));
+    PatternStore store;
+    EXPECT_FALSE(store.load(path.string())) << what;
+    EXPECT_EQ(store.pattern_count(), 0u) << what;
+    EXPECT_TRUE(store.services().empty()) << what;
+    // The refused store is empty but fully usable.
+    const core::Pattern p = make_pattern("svc", "after", 2);
+    store.upsert_pattern(p);
+    EXPECT_TRUE(store.find(p.id()).has_value()) << what;
+    EXPECT_EQ(store.load_service("svc").size(), 1u) << what;
+    fs::remove(path);
+  }
+}
+
+TEST(PatternStore, OpenFallsBackPastWrongTableSchema) {
+  const fs::path dir = temp_path("schema_open");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  // Generation 1 is sound; generation 2 has a two-column patterns table
+  // whose row still parses.
+  write_file(dir / "snapshot-1.db", edited_snapshot({}));
+  write_file(dir / "snapshot-2.db",
+             "seqrtgdb 1\n"
+             "table examples 3 -1\ncol pid TEXT\ncol seq INTEGER\n"
+             "col message TEXT\nend\n"
+             "table patterns 2 0\ncol pid TEXT\ncol service TEXT\n"
+             "row\tTp1\tTsvc\nend\n");
+  PatternStore store;
+  ASSERT_TRUE(store.open(dir.string()));
+  EXPECT_EQ(store.durability_stats().snapshot_seq, 1u);
+  EXPECT_EQ(store.services(), (std::vector<std::string>{"svc"}));
+  ASSERT_EQ(store.load_service("svc").size(), 1u);
+  EXPECT_EQ(store.load_service("svc")[0].text(), "e %n%");
+  fs::remove_all(dir);
+}
+
+/// After load/open accepted a damaged file, every row the store counts is
+/// read: it decodes, or it is skipped and counted corrupt.
+void expect_every_row_read(PatternStore& store, const std::string& what) {
+  const std::uint64_t before = corrupt_rows().value();
+  PatternStore::ExportFilter all;
+  all.max_complexity = std::numeric_limits<double>::infinity();
+  const std::size_t decoded = store.export_patterns(all).size();
+  EXPECT_EQ(decoded + (corrupt_rows().value() - before), store.pattern_count())
+      << what;
+  for (const std::string& service : store.services()) {
+    for (const core::Pattern& p : store.load_service(service)) {
+      EXPECT_EQ(p.service, service) << what;
+    }
+  }
+}
+
+TEST(PatternStore, DamagedSnapshotsNeverCrashTheLoader) {
+  const fs::path path = temp_path("fuzz_base.db");
+  {
+    PatternStore store;
+    core::Pattern a = make_pattern("sshd", "login", 3);
+    a.examples = {"login 1", "login\t\"2\""};
+    store.upsert_pattern(a);
+    store.upsert_pattern(make_pattern("cron", "tick", 1));
+    core::Pattern c = make_pattern("cron", "t\xc3\xb6" "ck\\", 7);
+    c.examples = {"x"};
+    store.upsert_pattern(c);
+    ASSERT_TRUE(store.save(path.string()));
+  }
+  const std::string base = read_file(path);
+  std::vector<std::pair<std::string, std::string>> damaged;
+  for (std::size_t cut = 0; cut < base.size(); ++cut) {
+    damaged.emplace_back("truncated at " + std::to_string(cut),
+                         base.substr(0, cut));
+  }
+  const std::string alphabet = "\t\n \"\\-0123456789NIRTerowlabc{}[]:,";
+  util::Rng rng(0x5AFE);
+  for (int i = 0; i < 600; ++i) {
+    std::string text = base;
+    std::string what = "mutated";
+    const int edits = 1 + static_cast<int>(rng.next_below(3));
+    for (int e = 0; e < edits; ++e) {
+      const std::size_t at = rng.next_below(text.size());
+      const char byte =
+          rng.next_below(4) == 0
+              ? static_cast<char>(rng.next_below(256))
+              : alphabet[rng.next_below(alphabet.size())];
+      text[at] = byte;
+      what += ' ' + std::to_string(at) + '=' +
+              std::to_string(static_cast<unsigned char>(byte));
+    }
+    damaged.emplace_back(what, text);
+  }
+
+  std::size_t accepted = 0;
+  for (const auto& [what, text] : damaged) {
+    write_file(path, text);
+    PatternStore store;
+    if (!store.load(path.string())) {
+      EXPECT_EQ(store.pattern_count(), 0u) << what;
+      continue;
+    }
+    ++accepted;
+    expect_every_row_read(store, what);
+  }
+  fs::remove(path);
+  // Both verdicts must occur, or the damage is not reaching the parser.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, damaged.size());
+
+  // open() takes the same loader: a damaged only generation leaves an
+  // empty durable store.
+  const fs::path dir = temp_path("fuzz_open");
+  for (std::size_t i = 0; i < damaged.size(); i += 9) {
+    const auto& [what, text] = damaged[i];
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    write_file(dir / "snapshot-3.db", text);
+    PatternStore store;
+    ASSERT_TRUE(store.open(dir.string())) << what;
+    if (store.durability_stats().snapshot_seq == 0) {
+      EXPECT_EQ(store.pattern_count(), 0u) << what;
+    } else {
+      expect_every_row_read(store, what);
+    }
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

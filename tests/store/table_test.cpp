@@ -44,28 +44,35 @@ TEST(Table, ArityMismatchRejected) {
   EXPECT_FALSE(t.insert({Value("a"), Value(1)}));
 }
 
-TEST(Table, FindEqScansWithoutIndex) {
-  Table t(people_schema());
-  t.insert({Value("a"), Value(30), Value("lyon")});
-  t.insert({Value("b"), Value(30), Value("paris")});
-  t.insert({Value("c"), Value(40), Value("lyon")});
-  EXPECT_EQ(t.find_eq("age", Value(30)).size(), 2u);
-  EXPECT_EQ(t.find_eq("city", Value("lyon")).size(), 2u);
-  EXPECT_TRUE(t.find_eq("age", Value(99)).empty());
-  EXPECT_TRUE(t.find_eq("bogus", Value(1)).empty());
-}
-
 TEST(Table, SecondaryIndexMatchesScan) {
   Table t(people_schema());
   t.insert({Value("a"), Value(30), Value("lyon")});
-  t.insert({Value("b"), Value(30), Value("paris")});
-  const auto before = t.find_eq("age", Value(30));
-  ASSERT_TRUE(t.add_index("age"));
-  const auto after = t.find_eq("age", Value(30));
-  EXPECT_EQ(before, after);
-  // Index stays correct across later inserts.
+  t.insert({Value("b"), Value(40), Value("paris")});
   t.insert({Value("c"), Value(30), Value("nice")});
-  EXPECT_EQ(t.find_eq("age", Value(30)).size(), 3u);
+  // find_eq searches indexed columns only.
+  EXPECT_TRUE(t.find_eq("age", Value(30)).empty());
+  ASSERT_TRUE(t.add_index("age"));
+  const auto scan = [&](std::int64_t age) {
+    std::vector<std::string> ids;
+    for (const Row* row : t.snapshot()) {
+      if ((*row)[1].as_int() == age) ids.push_back((*row)[0].as_text());
+    }
+    return ids;
+  };
+  const auto indexed = [&](std::int64_t age) {
+    std::vector<std::string> ids;
+    for (RowId id : t.find_eq("age", Value(age))) {
+      ids.push_back(t.row(id)[0].as_text());
+    }
+    return ids;
+  };
+  EXPECT_EQ(indexed(30), scan(30));
+  // Index stays correct across later inserts.
+  t.insert({Value("d"), Value(30), Value("nice")});
+  EXPECT_EQ(indexed(30), scan(30));
+  EXPECT_EQ(indexed(30).size(), 3u);
+  EXPECT_TRUE(indexed(99).empty());
+  EXPECT_TRUE(t.find_eq("bogus", Value(1)).empty());
 }
 
 TEST(Table, AddIndexUnknownColumn) {
@@ -81,6 +88,26 @@ TEST(Table, UpdateMaintainsIndexes) {
   EXPECT_TRUE(t.update_row(id, {Value("a"), Value(31), Value("paris")}));
   EXPECT_TRUE(t.find_eq("city", Value("lyon")).empty());
   EXPECT_EQ(t.find_eq("city", Value("paris")).size(), 1u);
+}
+
+TEST(Table, IndexesKeepInsertionOrderAcrossUpdates) {
+  Table t(people_schema());
+  t.add_index("city");
+  t.insert({Value("a"), Value(1), Value("x")});
+  t.insert({Value("b"), Value(2), Value("x")});
+  t.insert({Value("c"), Value(3), Value("y")});
+  const RowId a = *t.find_pk(Value("a"));
+  const RowId c = *t.find_pk(Value("c"));
+  // An update that leaves the indexed value alone keeps the row's place.
+  ASSERT_TRUE(t.update_row(a, {Value("a"), Value(10), Value("x")}));
+  EXPECT_EQ(t.find_eq("city", Value("x")),
+            (std::vector<RowId>{a, *t.find_pk(Value("b"))}));
+  // A row that moves into a key lands at its insertion position.
+  ASSERT_TRUE(t.update_row(c, {Value("c"), Value(3), Value("x")}));
+  ASSERT_TRUE(t.update_row(a, {Value("a"), Value(10), Value("y")}));
+  ASSERT_TRUE(t.update_row(a, {Value("a"), Value(10), Value("x")}));
+  EXPECT_EQ(t.find_eq("city", Value("x")),
+            (std::vector<RowId>{a, *t.find_pk(Value("b")), c}));
 }
 
 TEST(Table, UpdateRejectsPkCollision) {
@@ -109,14 +136,14 @@ TEST(Table, EraseTombstonesRow) {
   EXPECT_TRUE(t.insert({Value("a"), Value(9), Value("z")}));
 }
 
-TEST(Table, AllRowsSkipsTombstones) {
+TEST(Table, SnapshotSkipsTombstones) {
   Table t(people_schema());
   t.insert({Value("a"), Value(1), Value("x")});
   t.insert({Value("b"), Value(2), Value("y")});
   t.erase(*t.find_pk(Value("a")));
-  const auto rows = t.all_rows();
+  const auto rows = t.snapshot();
   ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(t.row(rows[0])[0].as_text(), "b");
+  EXPECT_EQ((*rows[0])[0].as_text(), "b");
 }
 
 TEST(Table, SnapshotInInsertionOrder) {

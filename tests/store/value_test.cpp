@@ -7,7 +7,6 @@ namespace {
 
 TEST(Value, TypesAndAccessors) {
   EXPECT_EQ(Value().type(), ValueType::Null);
-  EXPECT_TRUE(Value(nullptr).is_null());
   EXPECT_EQ(Value(42).type(), ValueType::Integer);
   EXPECT_EQ(Value(42).as_int(), 42);
   EXPECT_EQ(Value(2.5).type(), ValueType::Real);

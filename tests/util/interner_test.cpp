@@ -79,7 +79,7 @@ TEST(StringInterner, ViewsStayValidAcrossGrowth) {
 TEST(StringInterner, IdsAreDense) {
   StringInterner interner;
   for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(interner.intern("s" + std::to_string(i)),
+    EXPECT_EQ(interner.intern('s' + std::to_string(i)),
               static_cast<StringInterner::Id>(i));
   }
 }
