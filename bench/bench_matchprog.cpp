@@ -1,8 +1,8 @@
-// Compiled-match-program microbenchmarks: the flat MatchProgram fast path
-// against the reference trie walk, over identical pre-scanned token
-// streams (match cost only — scanning is benchmarked in bench_scanner).
-// Also measures the one-off compile latency a service pays on its first
-// match after a pattern-set change. Telemetry lands in BENCH_matchprog.json
+// Compiled-match-program microbenchmarks: the MatchProgram match loop over
+// pre-scanned token streams (match cost only — scanning is benchmarked in
+// bench_scanner), on traffic that hits and traffic that misses. Also
+// measures the one-off compile latency a service pays on its first match
+// after a pattern-set change. Telemetry lands in BENCH_matchprog.json
 // for scripts/bench_check.sh.
 #include <benchmark/benchmark.h>
 
@@ -70,9 +70,8 @@ MatchFixture make_fixture(bool hits) {
   return out;
 }
 
-void run_match_loop(benchmark::State& state, bool compiled, bool hits) {
+void run_match_loop(benchmark::State& state, bool hits) {
   MatchFixture fx = make_fixture(hits);
-  fx.parser.set_matchprog_enabled(compiled);
   std::size_t i = 0;
   std::int64_t matched = 0;
   for (auto _ : state) {
@@ -90,24 +89,14 @@ void run_match_loop(benchmark::State& state, bool compiled, bool hits) {
 }
 
 void BM_MatchCompiledHit(benchmark::State& state) {
-  run_match_loop(state, /*compiled=*/true, /*hits=*/true);
+  run_match_loop(state, /*hits=*/true);
 }
 BENCHMARK(BM_MatchCompiledHit);
 
-void BM_MatchTrieHit(benchmark::State& state) {
-  run_match_loop(state, /*compiled=*/false, /*hits=*/true);
-}
-BENCHMARK(BM_MatchTrieHit);
-
 void BM_MatchCompiledMiss(benchmark::State& state) {
-  run_match_loop(state, /*compiled=*/true, /*hits=*/false);
+  run_match_loop(state, /*hits=*/false);
 }
 BENCHMARK(BM_MatchCompiledMiss);
-
-void BM_MatchTrieMiss(benchmark::State& state) {
-  run_match_loop(state, /*compiled=*/false, /*hits=*/false);
-}
-BENCHMARK(BM_MatchTrieMiss);
 
 void BM_MatchProgCompile(benchmark::State& state) {
   // First-match latency after a pattern-set change: a fresh parser is built

@@ -1,35 +1,40 @@
-// Compiled match programs: the parser's hot path as flat data.
+// Compiled match programs: the parser's matcher as flat data.
 //
-// The parser's pattern trie (MatchNode, below) is built for incremental
-// insertion: per-node hash maps keyed by literal text, heap-allocated
-// children, recursive pointer-chasing walks. That shape is right while
-// patterns are being added but wrong for the match loop, where a production
-// deployment replays millions of messages against a pattern set that
-// changes rarely (the paper's CC-IN2P3 deployment re-learns in batches).
+// A production deployment replays millions of messages against a pattern
+// set that changes rarely (the paper's CC-IN2P3 deployment re-learns in
+// batches), while serve rebuilds each service's parser on every flush. So
+// the matcher is built in one step from a service's pattern list, straight
+// into contiguous arrays, with no intermediate pointer trie:
 //
-// MatchProgram::compile() flattens one service's tries into contiguous
-// arrays:
-//
+//   - Patterns are grouped into roots: one per exact token count, and one
+//     per fixed-prefix length for patterns ending in %rest%. Inside a root
+//     every pattern has the same length, so a node is a pattern prefix and
+//     its children are the distinct keys at the next position: a literal's
+//     interned id, or a wildcard's type.
 //   - Literal edge text is interned once; during a match each Literal
 //     token's interned id is resolved lazily on the first literal-edge probe
 //     at its position and memoised for the rest of the match (at most one
-//     hash probe per token, instead of one per trie node visited — and zero
-//     for tokens the walk never probes, e.g. when no root fits the token
-//     count). A token whose text was never seen in any pattern can skip
-//     every literal edge in the program without a string comparison.
+//     hash probe per token, and zero for tokens the walk never probes, e.g.
+//     when no root fits the token count). A token whose text was never seen
+//     in any pattern skips every literal edge without a string comparison.
 //   - A node's literal edges are a sorted run of (id, child) pairs inside
 //     one shared array, binary-searched in place. Root nodes with many
 //     edges (first-token dispatch, the widest fan-out) get a dense jump
 //     table indexed by interned id — one load instead of a search.
 //   - Variable edges carry a precomputed token-type accept bitmask, so the
 //     common rejection is one AND instead of a switch.
-//   - %rest% prefix programs are flattened alongside and tried
-//     longest-prefix-first, exactly like the trie walk.
 //
-// The walk order (literal edge before wildcards, wildcards in insertion
-// order, exact lengths before %rest%) is preserved node for node, so a
-// compiled match returns the identical pattern and fields as the trie walk
-// — a property the differential tests assert over every golden corpus.
+// Precedence (which pattern wins when several accept a message):
+//   - exact-length roots are tried before %rest% roots, and %rest% roots
+//     longest fixed prefix first;
+//   - at a node, the literal edge is tried before the wildcard edges, and
+//     the wildcard edges in the order their types first appear among the
+//     node's patterns in insertion order;
+//   - among patterns that end at the same node, the first one added wins.
+// A field is named after the matched pattern's own variable at that
+// position; the %rest% suffix binds under its variable's name, or "rest".
+// testkit::ReferenceMatcher implements the same rules as a pointer trie,
+// and the differential tests hold the two equal.
 //
 // Concurrency: a MatchProgram is immutable after compile(). The Parser
 // compiles lazily under a lock, publishes the program through an atomic
@@ -39,11 +44,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
-#include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -61,41 +63,16 @@ using ParsedFields = std::vector<std::pair<std::string, std::string>>;
 /// field); %hex% also accepts all-digit runs that happen to contain no a-f.
 bool variable_matches(TokenType var, const Token& tok);
 
-/// The insertion-built pattern trie. One node per pattern prefix; shared by
-/// the Parser (which grows it in add_pattern) and MatchProgram::compile()
-/// (which flattens it).
-struct MatchNode {
-  // Transparent hashing: probed with the token's string_view during a
-  // match, so the hot path never materialises a std::string key.
-  std::unordered_map<std::string, std::unique_ptr<MatchNode>, util::StringHash,
-                     std::equal_to<>>
-      literal_edges;
-  // Wildcard edges in insertion order; name kept for field extraction.
-  struct VarEdge {
-    TokenType type;
-    std::string name;
-    std::unique_ptr<MatchNode> node;
-  };
-  std::vector<VarEdge> var_edges;
-  const Pattern* terminal = nullptr;
-  /// Terminal reached via a %rest% marker: matches any token suffix.
-  const Pattern* rest_terminal = nullptr;
-  std::string rest_name;
-};
-
 class MatchProgram {
  public:
-  /// Flattens one service's tries (`exact` keyed by token count,
-  /// `rest_prefix` keyed by fixed-prefix length). The referenced Pattern
-  /// objects must outlive the program; the trie itself may be mutated or
-  /// destroyed afterwards.
+  /// Builds the program for one service's `patterns`, given in insertion
+  /// order (the order is match precedence). The Pattern objects must
+  /// outlive the program.
   static std::unique_ptr<MatchProgram> compile(
-      const std::map<std::size_t, MatchNode>& exact,
-      const std::map<std::size_t, MatchNode>& rest_prefix);
+      const std::vector<const Pattern*>& patterns);
 
   /// Matches `tokens`; on success fills `*pattern` and appends the bindings
-  /// to `*fields` (cleared first). Returns false on no match. Semantics are
-  /// identical to the trie walk.
+  /// to `*fields` (cleared first). Returns false on no match.
   bool match(const std::vector<Token>& tokens, ParsedFields* fields,
              const Pattern** pattern) const;
 
@@ -115,7 +92,6 @@ class MatchProgram {
     /// Bit per TokenType this variable can accept (the %hex%-integer length
     /// rule is re-checked at match time).
     std::uint16_t accept_mask;
-    std::uint32_t name;  // index into names_
     std::uint32_t node;
   };
   struct Node {
@@ -126,42 +102,45 @@ class MatchProgram {
     /// Dense first-token dispatch: jump_begin indexes jump_ when not kNone;
     /// the slab spans all interned ids.
     std::uint32_t jump_begin = kNone;
+    /// Set on the nodes at the root's depth: the first pattern added with
+    /// this node's key sequence.
     const Pattern* terminal = nullptr;
-    const Pattern* rest_terminal = nullptr;
-    std::uint32_t rest_name = kNone;
   };
   struct Root {
     std::size_t token_count;  // exact length, or fixed-prefix length
     std::uint32_t node;
   };
+  /// One pattern while its root is built: `key` is its edge key at the
+  /// depth being built, `order` its insertion index (the tie-break).
+  struct Row {
+    std::uint64_t key;
+    std::uint32_t order;
+    const Pattern* pattern;
+  };
 
-  std::uint32_t flatten(const MatchNode& src);
+  std::uint32_t build(Row* begin, Row* end, std::size_t depth,
+                      std::size_t fixed);
   void build_jump_tables();
 
-  /// Per-match state shared by every walk frame; passed once by reference
-  /// instead of widening the recursion signature. `ids` is the per-position
+  /// Per-match state shared by every walk frame. `ids` is the per-position
   /// memo of lazily resolved interner ids (kUnresolvedId until the first
   /// literal probe at that position).
   struct WalkCtx {
     const Token* tokens;
     std::uint32_t* ids;
     std::size_t end_i;
-    bool rest;
-    ParsedFields* fields;
-    const Pattern** pattern;
-    std::uint32_t* rest_name;
   };
 
-  bool walk(const WalkCtx& ctx, std::uint32_t node_idx, std::size_t i) const;
+  const Pattern* walk(const WalkCtx& ctx, std::uint32_t node_idx,
+                      std::size_t i) const;
 
   util::StringInterner interner_;
   std::vector<Node> nodes_;
   std::vector<LitEdge> lits_;
   std::vector<VarEdge> vars_;
   std::vector<std::uint32_t> jump_;
-  std::vector<std::string> names_;
-  std::vector<Root> exact_roots_;        // sorted by token_count
-  std::vector<Root> rest_roots_;         // sorted by prefix length descending
+  std::vector<Root> exact_roots_;  // sorted by token_count
+  std::vector<Root> rest_roots_;   // sorted by prefix length descending
 };
 
 }  // namespace seqrtg::core

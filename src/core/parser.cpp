@@ -1,13 +1,11 @@
 #include "core/parser.hpp"
 
-#include <cstdlib>
 #include <mutex>
 #include <optional>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/stopwatch.hpp"
-#include "util/strings.hpp"
 
 namespace seqrtg::core {
 
@@ -18,8 +16,6 @@ struct ParserMetrics {
   obs::Counter& missed;
   obs::Histogram& parse_seconds;
   obs::Counter& compiles;
-  obs::Counter& path_compiled;
-  obs::Counter& path_trie;
 };
 
 ParserMetrics& parser_metrics() {
@@ -32,63 +28,17 @@ ParserMetrics& parser_metrics() {
       reg.histogram("seqrtg_parser_parse_seconds",
                     "Scan+match latency of Parser::parse, sampled 1 in 64"),
       reg.counter("seqrtg_matchprog_compiles_total",
-                  "Match programs compiled (lazily, per service and epoch)"),
-      reg.counter("seqrtg_parser_match_path_total",
-                  "Token matches served per dispatch path",
-                  {{"path", "compiled"}}),
-      reg.counter("seqrtg_parser_match_path_total",
-                  "Token matches served per dispatch path",
-                  {{"path", "trie"}})};
+                  "Match programs compiled (lazily, per service and epoch)")};
   return m;
 }
 
 constexpr std::uint64_t kParseSampleMask = 63;
 
-bool matchprog_default_enabled() {
-  const char* env = std::getenv("SEQRTG_DISABLE_MATCHPROG");
-  return env == nullptr || env[0] == '\0' || env[0] == '0';
-}
-
 }  // namespace
-
-bool variable_matches(TokenType var, const Token& tok) {
-  switch (var) {
-    case TokenType::String:
-      return true;
-    case TokenType::Integer:
-      return tok.type == TokenType::Integer;
-    case TokenType::Float:
-      return tok.type == TokenType::Float || tok.type == TokenType::Integer;
-    case TokenType::Hex:
-      return tok.type == TokenType::Hex ||
-             (tok.type == TokenType::Integer && tok.value.size() >= 6);
-    case TokenType::Time:
-      return tok.type == TokenType::Time;
-    case TokenType::IPv4:
-      return tok.type == TokenType::IPv4;
-    case TokenType::IPv6:
-      return tok.type == TokenType::IPv6;
-    case TokenType::Mac:
-      return tok.type == TokenType::Mac;
-    case TokenType::Url:
-      return tok.type == TokenType::Url;
-    case TokenType::Email:
-      return tok.type == TokenType::Email;
-    case TokenType::Host:
-      return tok.type == TokenType::Host;
-    case TokenType::Path:
-      return tok.type == TokenType::Path;
-    case TokenType::Rest:
-    case TokenType::Literal:
-      return false;
-  }
-  return false;
-}
 
 Parser::Parser(ScannerOptions scanner_opts, SpecialTokenOptions special_opts)
     : scanner_(scanner_opts),
       special_opts_(special_opts),
-      matchprog_enabled_(matchprog_default_enabled()),
       compile_mutex_(std::make_unique<std::mutex>()) {}
 
 void Parser::clear() {
@@ -109,57 +59,16 @@ void Parser::scan_into(std::string_view message, TokenBuffer& out) const {
   promote_special_tokens(out.storage(), special_opts_);
 }
 
-void Parser::add_pattern(const Pattern& p) {
-  owned_.push_back(p);
-  const Pattern* stored = &owned_.back();
-
-  // Detect a trailing %rest% marker.
-  const auto& toks = stored->tokens;
-  const bool has_rest = !toks.empty() && toks.back().is_variable &&
-                        toks.back().var_type == TokenType::Rest;
-  const std::size_t fixed = has_rest ? toks.size() - 1 : toks.size();
-
-  ServiceIndex& svc = services_[stored->service];
-  MatchNode* node = has_rest ? &svc.rest_prefix[fixed] : &svc.exact[fixed];
-  for (std::size_t i = 0; i < fixed; ++i) {
-    const PatternToken& pt = toks[i];
-    if (!pt.is_variable) {
-      auto it = node->literal_edges.find(pt.text);
-      if (it == node->literal_edges.end()) {
-        it = node->literal_edges
-                 .emplace(pt.text, std::make_unique<MatchNode>())
-                 .first;
-      }
-      node = it->second.get();
-    } else {
-      MatchNode::VarEdge* edge = nullptr;
-      for (auto& e : node->var_edges) {
-        if (e.type == pt.var_type) {
-          edge = &e;
-          break;
-        }
-      }
-      if (edge == nullptr) {
-        node->var_edges.push_back(
-            {pt.var_type, pt.name, std::make_unique<MatchNode>()});
-        edge = &node->var_edges.back();
-      }
-      node = edge->node.get();
-    }
-  }
-  if (has_rest) {
-    if (node->rest_terminal == nullptr) {
-      node->rest_terminal = stored;
-      node->rest_name = toks.back().name;
-    }
-  } else if (node->terminal == nullptr) {
-    node->terminal = stored;
-  }
+const Pattern& Parser::add_pattern(const Pattern& p) {
+  const Pattern& stored = owned_.emplace_back(p);
+  ServiceIndex& svc = services_[stored.service];
+  svc.patterns.push_back(&stored);
   // New epoch: retire the service's compiled program (its memory stays
   // owned by programs_, so an in-flight reader finishes safely); the next
-  // match lazily recompiles against the grown trie.
+  // match lazily recompiles against the grown pattern list.
   ++pattern_epoch_;
   svc.program.store(nullptr, std::memory_order_release);
+  return stored;
 }
 
 const MatchProgram* Parser::compile_service(const ServiceIndex& svc) const {
@@ -169,7 +78,7 @@ const MatchProgram* Parser::compile_service(const ServiceIndex& svc) const {
   if (prog != nullptr) return prog;
   obs::TraceSpan span(obs::TraceCat::kMatchProg, "compile");
   std::unique_ptr<MatchProgram> compiled =
-      MatchProgram::compile(svc.exact, svc.rest_prefix);
+      MatchProgram::compile(svc.patterns);
   if (span.active()) {
     span.set_args(static_cast<std::int64_t>(compiled->node_count()),
                   static_cast<std::int64_t>(pattern_epoch_));
@@ -179,35 +88,6 @@ const MatchProgram* Parser::compile_service(const ServiceIndex& svc) const {
   programs_.push_back(std::move(compiled));
   svc.program.store(prog, std::memory_order_release);
   return prog;
-}
-
-bool Parser::match_walk(const MatchNode* node,
-                        const std::vector<Token>& tokens, std::size_t i,
-                        ParsedFields* fields, const Pattern** out) const {
-  if (i == tokens.size()) {
-    if (node->terminal != nullptr) {
-      *out = node->terminal;
-      return true;
-    }
-    return false;
-  }
-  const Token& tok = tokens[i];
-  // Most-specific first: exact literal text (only Literal tokens carry
-  // pattern-constant text), then typed wildcards in insertion order.
-  if (tok.type == TokenType::Literal) {
-    const auto it = node->literal_edges.find(tok.value);
-    if (it != node->literal_edges.end() &&
-        match_walk(it->second.get(), tokens, i + 1, fields, out)) {
-      return true;
-    }
-  }
-  for (const auto& edge : node->var_edges) {
-    if (!variable_matches(edge.type, tok)) continue;
-    fields->emplace_back(edge.name, tok.value);
-    if (match_walk(edge.node.get(), tokens, i + 1, fields, out)) return true;
-    fields->pop_back();
-  }
-  return false;
 }
 
 bool Parser::match_tokens(std::string_view service,
@@ -236,81 +116,9 @@ bool Parser::match_tokens_impl(std::string_view service,
   if (svc_it == services_.end()) return false;
   const ServiceIndex& svc = svc_it->second;
 
-  // Compiled fast path: flat program, identical semantics to the walk
-  // below (differential-tested). Falls through to the trie only when the
-  // program is disabled for this instance.
-  if (matchprog_enabled_) {
-    const MatchProgram* prog = svc.program.load(std::memory_order_acquire);
-    if (prog == nullptr) prog = compile_service(svc);
-    if (obs::telemetry_enabled()) parser_metrics().path_compiled.inc();
-    return prog->match(tokens, &out.fields, &out.pattern);
-  }
-  if (obs::telemetry_enabled()) parser_metrics().path_trie.inc();
-
-  // Exact-length patterns first.
-  const auto exact_it = svc.exact.find(tokens.size());
-  if (exact_it != svc.exact.end()) {
-    out.fields.clear();
-    if (match_walk(&exact_it->second, tokens, 0, &out.fields, &out.pattern)) {
-      return true;
-    }
-  }
-  // %rest% patterns: any prefix length <= token count. Walk candidate
-  // prefix indexes longest-prefix-first so the most specific pattern wins
-  // (mirroring the literal-before-wildcard precedence within a walk) — a
-  // generic short-prefix rest pattern must not shadow a longer one.
-  for (auto it = svc.rest_prefix.rbegin(); it != svc.rest_prefix.rend();
-       ++it) {
-    const auto& [prefix_len, root] = *it;
-    if (prefix_len > tokens.size()) continue;
-    // Custom walk that terminates at prefix_len on a rest_terminal.
-    struct RestWalker {
-      const Parser* parser;
-      const std::vector<Token>& tokens;
-      std::size_t prefix_len;
-      bool walk(const MatchNode* node, std::size_t i, ParsedFields* fields,
-                const Pattern** out, std::string* rest_name) const {
-        if (i == prefix_len) {
-          if (node->rest_terminal != nullptr) {
-            *out = node->rest_terminal;
-            *rest_name = node->rest_name;
-            return true;
-          }
-          return false;
-        }
-        const Token& tok = tokens[i];
-        if (tok.type == TokenType::Literal) {
-          const auto it = node->literal_edges.find(tok.value);
-          if (it != node->literal_edges.end() &&
-              walk(it->second.get(), i + 1, fields, out, rest_name)) {
-            return true;
-          }
-        }
-        for (const auto& edge : node->var_edges) {
-          if (!variable_matches(edge.type, tok)) continue;
-          fields->emplace_back(edge.name, tok.value);
-          if (walk(edge.node.get(), i + 1, fields, out, rest_name)) {
-            return true;
-          }
-          fields->pop_back();
-        }
-        return false;
-      }
-    };
-    out.fields.clear();
-    std::string rest_name;
-    RestWalker walker{this, tokens, prefix_len};
-    if (walker.walk(&root, 0, &out.fields, &out.pattern, &rest_name)) {
-      // Bind the swallowed suffix under the rest variable's name.
-      std::string suffix =
-          reconstruct(tokens.data() + prefix_len,
-                      tokens.data() + tokens.size());
-      out.fields.emplace_back(rest_name.empty() ? "rest" : rest_name,
-                              std::move(suffix));
-      return true;
-    }
-  }
-  return false;
+  const MatchProgram* prog = svc.program.load(std::memory_order_acquire);
+  if (prog == nullptr) prog = compile_service(svc);
+  return prog->match(tokens, &out.fields, &out.pattern);
 }
 
 std::optional<ParseResult> Parser::parse(std::string_view service,

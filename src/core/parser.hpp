@@ -6,27 +6,22 @@
 // discovering patterns, it attempts to match new messages to a known
 // pattern."
 //
-// Patterns are compiled into a per-(service, token-count) match trie whose
-// edges are either exact literal text or typed wildcards. Matching is a
+// Each service's patterns are compiled into a MatchProgram
+// (core/matchprog.hpp): a per-token-count match trie, flattened, whose edges
+// are either exact literal text or typed wildcards. Matching is a
 // depth-first walk preferring literal edges over wildcards (most-specific
-// wins); variable values are extracted along the way so the caller gets the
-// parsed fields (the "small amount of information ... extracted from the
-// message" of §II). Patterns ending in the %rest% marker match any suffix
-// (multi-line handling, extension #6).
+// wins); the caller gets the parsed fields (the "small amount of
+// information ... extracted from the message" of §II). Patterns ending in
+// the %rest% marker match any suffix (multi-line handling, extension #6).
 //
-// Hot path: the trie is lazily compiled into a flat MatchProgram per
-// service (core/matchprog.hpp) — interned literal ids, sorted edge runs and
-// first-token jump tables replace per-node hashing and pointer chasing.
-// add_pattern invalidates the program; the next match recompiles it. The
-// trie walk remains as the reference implementation (differential-tested
-// against the program) and as the fallback when SEQRTG_DISABLE_MATCHPROG
-// is set.
+// The Parser keeps each service's patterns in insertion order and compiles
+// the program lazily: add_pattern invalidates it, and the next match of
+// that service rebuilds it in one step from the pattern list.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -55,8 +50,10 @@ class Parser {
   explicit Parser(ScannerOptions scanner_opts = {},
                   SpecialTokenOptions special_opts = {});
 
-  /// Compiles `p` into the match structure. Patterns are copied and owned.
-  void add_pattern(const Pattern& p);
+  /// Adds `p` to its service's pattern set. Patterns are copied and owned;
+  /// returns the stored copy (stable until clear()), which is the pointer
+  /// a match of this pattern reports.
+  const Pattern& add_pattern(const Pattern& p);
 
   /// Number of compiled patterns.
   std::size_t pattern_count() const { return owned_.size(); }
@@ -94,23 +91,15 @@ class Parser {
 
   void clear();
 
-  /// Toggles the compiled match program for this instance (defaults to on
-  /// unless SEQRTG_DISABLE_MATCHPROG is set in the environment). With it
-  /// off every match takes the pointer-chasing trie walk — the reference
-  /// path the differential tests compare against.
-  void set_matchprog_enabled(bool on) { matchprog_enabled_ = on; }
-  bool matchprog_enabled() const { return matchprog_enabled_; }
-
   /// Bumped on every pattern-set change (add_pattern / clear); compiled
   /// programs from an older epoch are invalid and lazily rebuilt.
   std::uint64_t pattern_epoch() const { return pattern_epoch_; }
 
  private:
   struct ServiceIndex {
-    // Keyed by token count; patterns with %rest% live under the count of
-    // tokens preceding the marker in a separate prefix index.
-    std::map<std::size_t, MatchNode> exact;
-    std::map<std::size_t, MatchNode> rest_prefix;
+    /// The service's patterns (owned by `owned_`) in insertion order, which
+    /// is match precedence.
+    std::vector<const Pattern*> patterns;
     /// The service's compiled program, published once compiled. nulled by
     /// add_pattern when the pattern set changes. The pointee is owned by
     /// `programs_` and never freed before the Parser dies, so a reader
@@ -118,10 +107,6 @@ class Parser {
     /// match on the stale (but complete) program safely.
     mutable std::atomic<const MatchProgram*> program{nullptr};
   };
-
-  bool match_walk(const MatchNode* node, const std::vector<Token>& tokens,
-                  std::size_t i, ParsedFields* fields,
-                  const Pattern** out) const;
 
   /// match_tokens without the telemetry counters (the public entry point
   /// adds the match/miss accounting).
@@ -141,7 +126,6 @@ class Parser {
   std::unordered_map<std::string, ServiceIndex, util::StringHash,
                      std::equal_to<>>
       services_;
-  bool matchprog_enabled_;
   std::uint64_t pattern_epoch_ = 0;
   // Held by pointer so the Parser stays movable (benchmarks return trained
   // parsers by value).

@@ -46,14 +46,14 @@ ScannerMetrics& scanner_metrics() {
   return m;
 }
 
-/// Which classifier kernel served the scan (scalar / sse / avx2). The level
+/// Which classifier kernel served the scan (scalar / avx2). The level
 /// is fixed per process outside tests, so this mostly confirms at a glance
 /// that production hosts actually run the vector path.
 obs::Counter& scans_by_path(util::SimdLevel level) {
   auto& reg = obs::default_registry();
-  static std::array<obs::Counter*, 3> paths = [&reg] {
-    std::array<obs::Counter*, 3> p{};
-    for (std::uint8_t i = 0; i < 3; ++i) {
+  static std::array<obs::Counter*, 2> paths = [&reg] {
+    std::array<obs::Counter*, 2> p{};
+    for (std::uint8_t i = 0; i < 2; ++i) {
       p[i] = &reg.counter(
           "seqrtg_scanner_scans_by_path_total",
           "Scans served per SIMD dispatch path",

@@ -726,18 +726,11 @@ std::string Server::health_json() const {
   out += ",\"dropped\":" + std::to_string(dropped());
   out += ",\"shed\":" + std::to_string(shed());
   out += ",\"malformed\":" + std::to_string(malformed());
-  // Dispatch paths the lane parsers run on: which tokeniser kernel the CPU
-  // probe (or SEQRTG_DISABLE_AVX2) selected, and whether matches go through
-  // compiled programs or the reference trie walk.
+  // The tokeniser kernel the lane parsers run on: what the CPU probe (or
+  // SEQRTG_DISABLE_AVX2) selected.
   out += ",\"simd\":\"";
   out += util::simd_level_name(util::simd_level());
-  out += "\",\"matchprog\":";
-  {
-    const char* env = std::getenv("SEQRTG_DISABLE_MATCHPROG");
-    const bool on = env == nullptr || env[0] == '\0' || env[0] == '0';
-    out += on ? "true" : "false";
-  }
-  out += ",\"lane_stats\":[";
+  out += "\",\"lane_stats\":[";
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     const Lane& lane = *lanes_[i];
     if (i != 0) out += ',';

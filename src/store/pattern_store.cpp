@@ -417,11 +417,24 @@ void PatternStore::reset_tables_locked() {
 }
 
 bool PatternStore::adopt_tables_locked(TableMap tables) {
+  // A NULL (or otherwise mistyped) cell would load, but the typed readers
+  // would see "" or 0 in its place: a service cell of N lists as "" yet no
+  // load_service call can reach its rows.
+  const auto cells_typed = [](const Table& table) {
+    const std::vector<Column>& cols = table.schema().columns;
+    for (const Row* row : table.snapshot()) {
+      for (std::size_t c = 0; c < cols.size(); ++c) {
+        if ((*row)[c].type() != cols[c].type) return false;
+      }
+    }
+    return true;
+  };
   const auto patterns = tables.find("patterns");
   const auto examples = tables.find("examples");
   if (patterns == tables.end() || examples == tables.end() ||
       patterns->second.schema() != patterns_schema() ||
-      examples->second.schema() != examples_schema()) {
+      examples->second.schema() != examples_schema() ||
+      !cells_typed(patterns->second) || !cells_typed(examples->second)) {
     return false;
   }
   patterns_ = std::move(patterns->second);

@@ -230,8 +230,9 @@ class PatternStore final : public core::PatternRepository,
   /// Replaces both tables with empty ones.
   void reset_tables_locked();
   /// Takes the `patterns` and `examples` tables of a parsed snapshot.
-  /// False (tables untouched) when either is missing or its schema is not
-  /// the store's; other tables are ignored.
+  /// False (tables untouched) when either is missing, its schema is not
+  /// the store's, or a cell's type differs from its column's; other tables
+  /// are ignored.
   bool adopt_tables_locked(TableMap tables);
 
   // Unlocked mutation bodies shared by the public entry points and WAL

@@ -15,6 +15,7 @@
 #include "serve/ring.hpp"
 #include "serve/router.hpp"
 #include "serve/server.hpp"
+#include "testkit/reference_matcher.hpp"
 #include "util/rng.hpp"
 
 namespace seqrtg::testkit {
@@ -376,18 +377,43 @@ OracleVerdict check_soundness(const std::vector<core::LogRecord>& records,
   engine.analyze_by_service(records);
 
   core::Parser parser(engine_opts.scanner, engine_opts.special);
+  ReferenceMatcher reference;
   for (const std::string& service : store.services()) {
     for (const core::Pattern& p : store.load_service(service)) {
-      parser.add_pattern(p);
+      reference.add_pattern(parser.add_pattern(p));
     }
   }
   for (std::size_t i = 0; i < records.size(); ++i) {
-    if (!parser.parse(records[i].service, records[i].message).has_value()) {
+    const core::LogRecord& rec = records[i];
+    const auto parsed = parser.parse(rec.service, rec.message);
+    // The compiled matcher must agree with the reference trie walk on the
+    // verdict, the pattern and every field.
+    const auto expected =
+        reference.match_tokens(rec.service, parser.scan(rec.message));
+    if (parsed.has_value() != expected.has_value() ||
+        (parsed && (parsed->pattern != expected->pattern ||
+                    parsed->fields != expected->fields))) {
+      const auto describe = [](const std::optional<core::ParseResult>& r) {
+        if (!r) return std::string("miss");
+        std::string out = r->pattern->text();
+        for (const auto& [name, value] : r->fields) {
+          out += " " + name + "=" + value;
+        }
+        return out;
+      };
       std::ostringstream detail;
-      detail << "record " << i << " (service " << records[i].service
+      detail << "record " << i << " (service " << rec.service
+             << ") parses differently from the reference matcher: "
+             << rec.message << "\n  parser:    " << describe(parsed)
+             << "\n  reference: " << describe(expected);
+      return OracleFailure{"soundness:reference", detail.str()};
+    }
+    if (!parsed.has_value()) {
+      std::ostringstream detail;
+      detail << "record " << i << " (service " << rec.service
              << ") is not matched by any pattern mined from its own "
                 "corpus: "
-             << records[i].message;
+             << rec.message;
       return OracleFailure{"soundness", detail.str()};
     }
   }

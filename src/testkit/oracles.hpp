@@ -20,7 +20,10 @@
 //                    and the memory accountant's ledger must audit clean
 //                    against the store's authoritative byte recount.
 //   soundness      — every ingested message is matched by the Parser
-//                    compiled from the patterns mined from that corpus.
+//                    compiled from the patterns mined from that corpus,
+//                    and each parse (verdict, pattern, fields) equals the
+//                    ReferenceMatcher's over the same patterns
+//                    ("soundness:reference" when it does not).
 //   idempotence    — re-analyzing the same corpus discovers nothing new:
 //                    analyzed == 0, new_patterns == 0, pattern texts
 //                    unchanged (parse-first matches everything).

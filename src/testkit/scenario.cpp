@@ -370,7 +370,7 @@ ScenarioResult run_scenario(const ScenarioOptions& opts,
           if (util::starts_with(oracle, "differential") ||
               util::starts_with(oracle, "governance")) {
             v = check_differential(subset, opts.engine, dopts);
-          } else if (oracle == "soundness") {
+          } else if (util::starts_with(oracle, "soundness")) {
             v = check_soundness(subset, opts.engine);
           } else if (oracle == "idempotence") {
             v = check_idempotence(subset, opts.engine);

@@ -10,7 +10,6 @@ namespace {
 SimdLevel probe_cpu() {
 #if defined(__x86_64__) || defined(__i386__)
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-  if (__builtin_cpu_supports("ssse3")) return SimdLevel::kSse;
 #endif
   return SimdLevel::kScalar;
 }
@@ -60,8 +59,6 @@ const char* simd_level_name(SimdLevel level) {
   switch (level) {
     case SimdLevel::kAvx2:
       return "avx2";
-    case SimdLevel::kSse:
-      return "sse";
     case SimdLevel::kScalar:
       return "scalar";
   }

@@ -1,15 +1,14 @@
 // Runtime SIMD capability dispatch.
 //
 // The vectorised tokeniser kernels (simd_classify.cpp) are compiled with
-// per-function target attributes, so one binary carries the AVX2, SSE and
+// per-function target attributes, so one binary carries the AVX2 and
 // scalar paths and picks one at runtime. Policy:
 //
 //   1. SEQRTG_DISABLE_AVX2=1 in the environment forces the scalar path —
 //      despite the historical name it disables *all* SIMD, which is what
 //      the differential tests and the CI scalar-fallback job need: the
 //      scalar path must produce byte-identical token streams on its own.
-//   2. Otherwise the best level the CPU supports wins (AVX2, then SSSE3 —
-//      pshufb is the oldest instruction the kernels need — then scalar).
+//   2. Otherwise AVX2 when the CPU supports it, else scalar.
 //
 // The decision is made once and cached; tests that need to pin a specific
 // level in-process use override_simd_level(), which takes precedence over
@@ -22,8 +21,7 @@ namespace seqrtg::util {
 
 enum class SimdLevel : std::uint8_t {
   kScalar = 0,
-  kSse = 1,   // 128-bit kernels; requires SSSE3 (pshufb)
-  kAvx2 = 2,  // 256-bit kernels
+  kAvx2 = 1,  // 256-bit kernels
 };
 
 /// Raw probe: best level this CPU supports, ignoring environment and
@@ -40,7 +38,7 @@ SimdLevel simd_level();
 void override_simd_level(SimdLevel level);
 void reset_simd_override();
 
-/// "avx2" | "sse" | "scalar" (metric labels, /healthz, bench host metadata).
+/// "avx2" | "scalar" (metric labels, /healthz, bench host metadata).
 const char* simd_level_name(SimdLevel level);
 
 }  // namespace seqrtg::util

@@ -90,76 +90,6 @@ void build_scalar(const char* data, std::size_t n, std::uint64_t* words,
 
 #ifdef SEQRTG_X86
 
-/// One 16-byte block's worth of classification bits.
-struct Masks16 {
-  std::uint32_t delim = 0;
-  std::uint32_t digit = 0;
-};
-
-__attribute__((target("ssse3"))) inline Masks16 classify16_sse(
-    const char* data) {
-  const __m128i lo_lut =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(kDelimLuts.lo));
-  const __m128i hi_lut =
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(kDelimLuts.hi));
-  const __m128i nib = _mm_set1_epi8(0x0F);
-  const __m128i v = _mm_loadu_si128(reinterpret_cast<const __m128i*>(data));
-  // lo lookup indexes with the raw byte: pshufb zeroes lanes >= 0x80.
-  const __m128i lo = _mm_shuffle_epi8(lo_lut, _mm_and_si128(v, nib));
-  const __m128i hi = _mm_shuffle_epi8(
-      hi_lut, _mm_and_si128(_mm_srli_epi16(v, 4), nib));
-  const __m128i hit = _mm_and_si128(lo, hi);
-  const __m128i miss = _mm_cmpeq_epi8(hit, _mm_setzero_si128());
-  // Digits are the contiguous range '0'..'9'; signed compares are exact
-  // because the range sits below 0x80 (bytes >= 0x80 compare negative).
-  const __m128i dig =
-      _mm_and_si128(_mm_cmpgt_epi8(v, _mm_set1_epi8('0' - 1)),
-                    _mm_cmpgt_epi8(_mm_set1_epi8('9' + 1), v));
-  Masks16 m;
-  m.delim = ~static_cast<std::uint32_t>(_mm_movemask_epi8(miss)) & 0xFFFFu;
-  m.digit = static_cast<std::uint32_t>(_mm_movemask_epi8(dig));
-  return m;
-}
-
-__attribute__((target("ssse3"))) void build_sse(const char* data,
-                                                std::size_t n,
-                                                std::uint64_t* words,
-                                                std::uint64_t* digits) {
-  std::size_t i = 0;
-  std::size_t w = 0;
-  for (; i + 64 <= n; i += 64, ++w) {
-    const Masks16 a = classify16_sse(data + i);
-    const Masks16 b = classify16_sse(data + i + 16);
-    const Masks16 c = classify16_sse(data + i + 32);
-    const Masks16 d = classify16_sse(data + i + 48);
-    words[w] = static_cast<std::uint64_t>(a.delim) |
-               static_cast<std::uint64_t>(b.delim) << 16 |
-               static_cast<std::uint64_t>(c.delim) << 32 |
-               static_cast<std::uint64_t>(d.delim) << 48;
-    digits[w] = static_cast<std::uint64_t>(a.digit) |
-                static_cast<std::uint64_t>(b.digit) << 16 |
-                static_cast<std::uint64_t>(c.digit) << 32 |
-                static_cast<std::uint64_t>(d.digit) << 48;
-  }
-  if (i < n) {
-    std::uint64_t delim_bits = 0;
-    std::uint64_t digit_bits = 0;
-    std::size_t shift = 0;
-    for (; i + 16 <= n; i += 16, shift += 16) {
-      const Masks16 m = classify16_sse(data + i);
-      delim_bits |= static_cast<std::uint64_t>(m.delim) << shift;
-      digit_bits |= static_cast<std::uint64_t>(m.digit) << shift;
-    }
-    if (i < n) {
-      const Masks64 m = classify64_scalar(data + i, n - i);
-      delim_bits |= m.delim << shift;
-      digit_bits |= m.digit << shift;
-    }
-    words[w] = delim_bits;
-    digits[w] = digit_bits;
-  }
-}
-
 /// One 32-byte block's worth of classification bits.
 struct Masks32 {
   std::uint32_t delim = 0;
@@ -175,12 +105,14 @@ __attribute__((target("avx2"))) inline Masks32 classify32_avx2(
   const __m256i nib = _mm256_set1_epi8(0x0F);
   const __m256i v =
       _mm256_loadu_si256(reinterpret_cast<const __m256i*>(data));
+  // lo lookup indexes with the raw byte: pshufb zeroes lanes >= 0x80.
   const __m256i lo = _mm256_shuffle_epi8(lo_lut, _mm256_and_si256(v, nib));
   const __m256i hi = _mm256_shuffle_epi8(
       hi_lut, _mm256_and_si256(_mm256_srli_epi16(v, 4), nib));
   const __m256i hit = _mm256_and_si256(lo, hi);
   const __m256i miss = _mm256_cmpeq_epi8(hit, _mm256_setzero_si256());
-  // See classify16_sse for why signed range compares are exact here.
+  // Digits are the contiguous range '0'..'9'; signed compares are exact
+  // because the range sits below 0x80 (bytes >= 0x80 compare negative).
   const __m256i dig =
       _mm256_and_si256(_mm256_cmpgt_epi8(v, _mm256_set1_epi8('0' - 1)),
                        _mm256_cmpgt_epi8(_mm256_set1_epi8('9' + 1), v));
@@ -241,9 +173,6 @@ void TokenBoundaryMap::build(std::string_view text, SimdLevel level) {
   switch (level) {
     case SimdLevel::kAvx2:
       build_avx2(text.data(), size_, words_.data(), digits_.data());
-      return;
-    case SimdLevel::kSse:
-      build_sse(text.data(), size_, words_.data(), digits_.data());
       return;
     case SimdLevel::kScalar:
       break;

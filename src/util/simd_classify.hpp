@@ -2,7 +2,7 @@
 //
 // The scanner's inner loops used to walk the message one byte at a time
 // asking "is this whitespace or break punctuation?". TokenBoundaryMap
-// answers that for the whole message in one pass: 16/32-byte loads are
+// answers that for the whole message in one pass: 32-byte loads are
 // classified against the shared byte-class table (via pshufb nibble LUTs
 // derived from it at compile time) and compressed with movemask into one
 // boundary bit per byte. The scanner then finds chunk ends branchlessly
@@ -13,10 +13,10 @@
 // all" (a plain word: Literal) and "all digits" (Integer) — become one or
 // two masked word tests instead of a per-byte accumulation loop.
 //
-// The AVX2 (32-byte), SSE (16-byte, SSSE3 pshufb) and scalar kernels all
-// produce bit-identical maps — the SIMD LUTs are *generated from* the
-// scalar table (util/byteclass.hpp), and the equivalence is fuzzed over
-// the full 0-255 byte range in tests/core/simd_equivalence_test.cpp.
+// The AVX2 (32-byte) and scalar kernels produce bit-identical maps — the
+// SIMD LUTs are *generated from* the scalar table (util/byteclass.hpp), and
+// the equivalence is fuzzed over the full 0-255 byte range in
+// tests/core/simd_equivalence_test.cpp.
 //
 // Reuse: build() keeps the word vector's capacity, so a thread-local map
 // reused across messages allocates nothing in steady state (same contract

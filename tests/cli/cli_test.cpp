@@ -151,6 +151,30 @@ TEST(Cli, ParseRawLinesWithServiceFlag) {
   std::remove(db.c_str());
 }
 
+TEST(Cli, ParseNamesFieldsAfterTheMatchedPattern) {
+  // Two imported patterns share the NUMBER wildcard after "x" under
+  // different names; each match reports its own pattern's name.
+  const std::string db = temp_db("seqrtg_cli_names.db");
+  std::remove(db.c_str());
+  const std::string xml =
+      "<patterndb version=\"4\" pub_date=\"1970-01-01\">"
+      "<ruleset name=\"app\" id=\"a\"><rules>"
+      "<rule provider=\"sequence-rtg\" id=\"r1\" class=\"system\">"
+      "<patterns><pattern>x @NUMBER:integer@ y</pattern></patterns></rule>"
+      "<rule provider=\"sequence-rtg\" id=\"r2\" class=\"system\">"
+      "<patterns><pattern>x @NUMBER:count@ z</pattern></patterns></rule>"
+      "</rules></ruleset></patterndb>";
+  ASSERT_EQ(run_cli({"import", "--db", db}, xml).code, 0);
+  const CliResult parse = run_cli({"parse", "--db", db, "--service", "app"},
+                                  "x 5 z\nx 6 y\n");
+  EXPECT_EQ(parse.code, 0);
+  EXPECT_NE(parse.out.find(" x %count% z count=5\n"), std::string::npos)
+      << parse.out;
+  EXPECT_NE(parse.out.find(" x %integer% y integer=6\n"), std::string::npos)
+      << parse.out;
+  std::remove(db.c_str());
+}
+
 TEST(Cli, PurgeDropsWeakPatterns) {
   const std::string db = temp_db("seqrtg_cli_purge.db");
   std::remove(db.c_str());

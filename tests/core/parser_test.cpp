@@ -212,6 +212,23 @@ TEST_F(ParserTest, DuplicatePatternsAreIdempotent) {
   ASSERT_TRUE(result.has_value());
 }
 
+TEST_F(ParserTest, FieldNamedAfterMatchedPatternsVariable) {
+  // Both patterns walk the same Integer wildcard after "x"; the field takes
+  // the name the matched pattern gives it, not the first pattern's.
+  parser_.add_pattern(make_pattern(
+      "s", {constant("x", false), variable(TokenType::Integer, "integer"),
+            constant("y")}));
+  parser_.add_pattern(make_pattern(
+      "s", {constant("x", false), variable(TokenType::Integer, "count"),
+            constant("z")}));
+  const auto result = parser_.parse("s", "x 5 z");
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->pattern->text(), "x %count% z");
+  ASSERT_EQ(result->fields.size(), 1u);
+  EXPECT_EQ(result->fields[0].first, "count");
+  EXPECT_EQ(result->fields[0].second, "5");
+}
+
 TEST(VariableMatches, TypeMatrix) {
   Token integer{TokenType::Integer, "42", false, ""};
   Token ip{TokenType::IPv4, "1.2.3.4", false, ""};

@@ -1,5 +1,5 @@
 // Differential suite for the vectorised byte-class tokeniser (ISSUE 7):
-// the scalar, SSE and AVX2 TokenBoundaryMap kernels must be bit-identical
+// the scalar and AVX2 TokenBoundaryMap kernels must be bit-identical
 // over the full 0-255 byte range, and a Scanner pinned to each dispatch
 // level must emit byte-identical token streams. Levels above what the host
 // CPU supports are clamped by override_simd_level(), so on a scalar-only
@@ -27,8 +27,8 @@ using core::Token;
 using util::SimdLevel;
 using util::TokenBoundaryMap;
 
-constexpr std::array<SimdLevel, 3> kLevels = {
-    SimdLevel::kScalar, SimdLevel::kSse, SimdLevel::kAvx2};
+constexpr std::array<SimdLevel, 2> kLevels = {SimdLevel::kScalar,
+                                              SimdLevel::kAvx2};
 
 /// Restores the ambient dispatch decision when a test scope ends, even on
 /// assertion failure.
@@ -130,11 +130,9 @@ TEST(SimdEquivalence, ScannerTokenStreamsIdenticalAcrossLevels) {
          loggen::generate_corpus(spec, 120, /*seed=*/0x51D).messages) {
       util::override_simd_level(SimdLevel::kScalar);
       const std::vector<Token> scalar = scanner.scan(m);
-      for (const SimdLevel level : {SimdLevel::kSse, SimdLevel::kAvx2}) {
-        util::override_simd_level(level);
-        scanner.scan_into(m, buf);
-        expect_tokens_equal(scalar, buf.tokens(), spec.name + ": " + m);
-      }
+      util::override_simd_level(SimdLevel::kAvx2);
+      scanner.scan_into(m, buf);
+      expect_tokens_equal(scalar, buf.tokens(), spec.name + ": " + m);
     }
   }
 }
@@ -160,11 +158,9 @@ TEST(SimdEquivalence, ScannerHandlesHostileBytesIdenticallyAcrossLevels) {
   for (const std::string& m : messages) {
     util::override_simd_level(SimdLevel::kScalar);
     const std::vector<Token> scalar = scanner.scan(m);
-    for (const SimdLevel level : {SimdLevel::kSse, SimdLevel::kAvx2}) {
-      util::override_simd_level(level);
-      scanner.scan_into(m, buf);
-      expect_tokens_equal(scalar, buf.tokens(), "fuzz message");
-    }
+    util::override_simd_level(SimdLevel::kAvx2);
+    scanner.scan_into(m, buf);
+    expect_tokens_equal(scalar, buf.tokens(), "fuzz message");
   }
 }
 
@@ -181,12 +177,9 @@ TEST(SimdEquivalence, ReconstructIdenticalAtEveryLevel) {
       util::override_simd_level(SimdLevel::kScalar);
       scanner.scan_into(m, buf);
       const std::string scalar = core::reconstruct(buf.tokens());
-      for (const SimdLevel level : {SimdLevel::kSse, SimdLevel::kAvx2}) {
-        util::override_simd_level(level);
-        scanner.scan_into(m, buf);
-        EXPECT_EQ(core::reconstruct(buf.tokens()), scalar)
-            << util::simd_level_name(level) << ": " << m;
-      }
+      util::override_simd_level(SimdLevel::kAvx2);
+      scanner.scan_into(m, buf);
+      EXPECT_EQ(core::reconstruct(buf.tokens()), scalar) << m;
     }
   }
 }

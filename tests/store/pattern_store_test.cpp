@@ -444,6 +444,39 @@ TEST(PatternStore, OpenFallsBackPastWrongTableSchema) {
   fs::remove_all(dir);
 }
 
+TEST(PatternStore, LoadRejectsMistypedCell) {
+  // The row parses, but a cell's type differs from its column's: a NULL
+  // service would list as "" while no load_service call could reach it.
+  const std::vector<std::pair<std::string, std::string>> damages = {
+      {"\tTsvc\t", "\tN\t"},      // service cell NULL
+      {"\tI100\n", "\tT100\n"},   // last_matched cell TEXT
+  };
+  for (const auto& edit : damages) {
+    const std::string what = edit.second;
+    const fs::path path = temp_path("mistyped.db");
+    write_file(path, edited_snapshot({edit}));
+    PatternStore store;
+    EXPECT_FALSE(store.load(path.string())) << what;
+    EXPECT_EQ(store.pattern_count(), 0u) << what;
+    EXPECT_TRUE(store.services().empty()) << what;
+    fs::remove(path);
+  }
+}
+
+TEST(PatternStore, OpenFallsBackPastMistypedCell) {
+  const fs::path dir = temp_path("mistyped_open");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  write_file(dir / "snapshot-1.db", edited_snapshot({}));
+  write_file(dir / "snapshot-2.db", edited_snapshot({{"\tTsvc\t", "\tN\t"}}));
+  PatternStore store;
+  ASSERT_TRUE(store.open(dir.string()));
+  EXPECT_EQ(store.durability_stats().snapshot_seq, 1u);
+  EXPECT_EQ(store.services(), (std::vector<std::string>{"svc"}));
+  EXPECT_EQ(store.load_service("svc").size(), 1u);
+  fs::remove_all(dir);
+}
+
 /// After load/open accepted a damaged file, every row the store counts is
 /// read: it decodes, or it is skipped and counted corrupt.
 void expect_every_row_read(PatternStore& store, const std::string& what) {
