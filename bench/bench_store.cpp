@@ -87,6 +87,22 @@ void BM_StoreLoadService(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreLoadService);
 
+// The engine's per-flush read: same rows as BM_StoreLoadService, token
+// cells only, no examples.
+void BM_StoreMatchPatterns(benchmark::State& state) {
+  store::PatternStore pattern_store;
+  for (std::size_t i = 0; i < 1000; ++i) {
+    pattern_store.upsert_pattern(make_pattern(i));
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        pattern_store.match_patterns("svc-" + std::to_string(i++ % 40)));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_StoreMatchPatterns);
+
 std::string fleet_service(std::size_t service) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "fleet-svc-%zu", service);
@@ -163,6 +179,18 @@ void BM_StoreLoadServiceGoverned(benchmark::State& state) {
                           static_cast<std::int64_t>(FleetStore::kRows));
 }
 BENCHMARK(BM_StoreLoadServiceGoverned);
+
+void BM_StoreMatchPatternsGoverned(benchmark::State& state) {
+  FleetStore fleet;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fleet.store.match_patterns(
+        fleet_service(i++ % FleetStore::kServices)));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(FleetStore::kRows));
+}
+BENCHMARK(BM_StoreMatchPatternsGoverned);
 
 void BM_StoreUpsertMergeGoverned(benchmark::State& state) {
   // Re-upserts of stored rows: stats merge, examples already at the cap,

@@ -45,7 +45,9 @@ fi
 # sanitizers), and the store's token codec and delta ledger (the codec's
 # decoder parses bytes read back from snapshots, spill files and the WAL,
 # so its differential fuzz runs under ASan/UBSan; the ledger property test
-# drives spill/reload, reopen and standby replication).
+# drives spill/reload, reopen and standby replication), and the engine's
+# per-flush store read (pattern_store_test races two engines' match reads
+# against an evolution thread and ceiling-driven spills).
 [ $# -gt 0 ] || set -- metrics_test thread_pool_test analyze_by_service_test \
   arena_test interner_test scan_into_equivalence_test wal_test \
   pattern_store_test bounded_queue_test serve_test serve_drain_test \

@@ -17,14 +17,17 @@ namespace seqrtg::core {
 namespace {
 
 /// Engine telemetry. The per-phase histograms mirror the paper's Fig. 2
-/// workflow: first partitioning, parse-first matching (which includes the
-/// scan and the per-length trie inserts of unmatched records), analysis of
-/// the per-length tries, and the repository save. parse_first and
+/// workflow: first partitioning, the load of each service's known patterns
+/// into its parser (the read plus the parser build), parse-first matching
+/// (which includes the scan, the lazy match-program compile and the
+/// per-length trie inserts of unmatched records), analysis of the
+/// per-length tries, and the repository save. load, parse_first and
 /// trie_analysis are observed once per service — possibly from pool
 /// workers, which is safe because histogram updates are atomic and carry no
 /// ordering, preserving the merge-in-service-order determinism.
 struct EngineMetrics {
   obs::Histogram& phase_partition;
+  obs::Histogram& phase_load;
   obs::Histogram& phase_parse_first;
   obs::Histogram& phase_trie_analysis;
   obs::Histogram& phase_repo_save;
@@ -44,6 +47,8 @@ EngineMetrics& engine_metrics() {
   static EngineMetrics m{
       reg.histogram("seqrtg_engine_phase_seconds", phase_help,
                     {{"phase", "partition"}}),
+      reg.histogram("seqrtg_engine_phase_seconds", phase_help,
+                    {{"phase", "load"}}),
       reg.histogram("seqrtg_engine_phase_seconds", phase_help,
                     {{"phase", "parse_first"}}),
       reg.histogram("seqrtg_engine_phase_seconds", phase_help,
@@ -92,9 +97,15 @@ Engine::ServiceOutcome Engine::process_service(
 
   // Load this service's known patterns into a local parser (read snapshot;
   // stats updates are collected and applied once at the end of the batch).
+  // The matcher's read copies only what matching needs, and each pattern
+  // moves into the parser without a second copy.
   Parser parser(opts_.scanner, opts_.special);
-  for (const Pattern& p : repo_->load_service(service)) {
-    parser.add_pattern(p);
+  {
+    obs::StageTimer timer(engine_metrics().phase_load);
+    obs::TraceSpan span(obs::TraceCat::kEngine, "load_partition");
+    std::vector<Pattern> patterns = repo_->match_patterns(service);
+    span.set_args(static_cast<std::int64_t>(patterns.size()));
+    for (Pattern& p : patterns) parser.add_pattern(std::move(p));
   }
 
   // Second partitioning: per-token-count analysis tries for the unmatched.

@@ -60,7 +60,11 @@ void Parser::scan_into(std::string_view message, TokenBuffer& out) const {
 }
 
 const Pattern& Parser::add_pattern(const Pattern& p) {
-  const Pattern& stored = owned_.emplace_back(p);
+  return add_pattern(Pattern(p));
+}
+
+const Pattern& Parser::add_pattern(Pattern&& p) {
+  const Pattern& stored = owned_.emplace_back(std::move(p));
   ServiceIndex& svc = services_[stored.service];
   svc.patterns.push_back(&stored);
   // New epoch: retire the service's compiled program (its memory stays

@@ -50,10 +50,11 @@ class Parser {
   explicit Parser(ScannerOptions scanner_opts = {},
                   SpecialTokenOptions special_opts = {});
 
-  /// Adds `p` to its service's pattern set. Patterns are copied and owned;
-  /// returns the stored copy (stable until clear()), which is the pointer
-  /// a match of this pattern reports.
+  /// Adds `p` to its service's pattern set. Patterns are owned (copied, or
+  /// moved in by the rvalue overload); returns the stored pattern (stable
+  /// until clear()), which is the pointer a match of this pattern reports.
   const Pattern& add_pattern(const Pattern& p);
+  const Pattern& add_pattern(Pattern&& p);
 
   /// Number of compiled patterns.
   std::size_t pattern_count() const { return owned_.size(); }

@@ -26,6 +26,15 @@ class PatternRepository {
   /// All patterns known for `service`.
   virtual std::vector<Pattern> load_service(std::string_view service) = 0;
 
+  /// `service`'s patterns as the matcher needs them, in load_service's
+  /// order (which is match precedence): only `service` and `tokens` are
+  /// guaranteed set. The engine rebuilds each service's parser from this
+  /// on every flush. The default is load_service; a store whose rows
+  /// carry more than the matcher reads overrides it to copy less.
+  virtual std::vector<Pattern> match_patterns(std::string_view service) {
+    return load_service(service);
+  }
+
   /// All known service names (sorted).
   virtual std::vector<std::string> services() = 0;
 

@@ -106,6 +106,7 @@ obs::Counter& wal_counter(const char* name, const char* help) {
 
 struct StoreMetrics {
   obs::Counter& load_service;
+  obs::Counter& match_patterns;
   obs::Counter& upsert;
   obs::Counter& record_match;
   obs::Counter& del;
@@ -123,6 +124,7 @@ struct StoreMetrics {
 StoreMetrics& store_metrics() {
   static StoreMetrics m{
       store_op("load_service"),
+      store_op("match_patterns"),
       store_op("upsert"),
       store_op("record_match"),
       store_op("delete"),
@@ -335,21 +337,34 @@ std::vector<std::string> load_examples(const Table& examples,
   return out;
 }
 
-/// A pattern row and its examples, copied out under the store mutex;
-/// decode_rows turns them into Patterns, which readers do after releasing
-/// the mutex.
+/// The cells of a pattern row that a Pattern is decoded from, copied out
+/// under the store mutex; decode_rows turns them into Patterns, which
+/// readers do after releasing the mutex. A RowCopy::kTokens copy holds
+/// only `tokens` and `ptext`.
 struct StoredRow {
-  Row row;
+  std::string tokens;
+  std::string ptext;
+  std::string service;
+  core::PatternStats stats;
   std::vector<std::string> examples;
 };
 
 std::vector<StoredRow> take_rows(const Table& examples,
-                                 const std::vector<const Row*>& rows) {
+                                 const std::vector<const Row*>& rows,
+                                 RowCopy copy = RowCopy::kFull) {
   std::vector<StoredRow> out;
   out.reserve(rows.size());
   for (const Row* row : rows) {
-    out.push_back(
-        StoredRow{*row, load_examples(examples, (*row)[kPid].as_text())});
+    StoredRow& stored = out.emplace_back();
+    stored.tokens = (*row)[kTokens].as_text();
+    stored.ptext = (*row)[kPtext].as_text();
+    if (copy == RowCopy::kTokens) continue;
+    stored.service = (*row)[kService].as_text();
+    stored.stats.match_count =
+        static_cast<std::uint64_t>((*row)[kMatchCount].as_int());
+    stored.stats.first_seen = (*row)[kFirstSeen].as_int();
+    stored.stats.last_matched = (*row)[kLastMatched].as_int();
+    stored.examples = load_examples(examples, (*row)[kPid].as_text());
   }
   return out;
 }
@@ -362,16 +377,16 @@ std::vector<const Row*> rows_of(const Table& table,
   return out;
 }
 
-/// `service`'s pattern rows sorted by pid, with their examples.
+/// `service`'s pattern rows sorted by pid, copied as `copy` says.
 std::vector<StoredRow> take_partition(const Table& patterns,
                                       const Table& examples,
-                                      std::string_view service) {
+                                      std::string_view service, RowCopy copy) {
   std::vector<const Row*> rows =
       rows_of(patterns, patterns.find_eq("service", Value(service)));
   std::stable_sort(rows.begin(), rows.end(), [](const Row* a, const Row* b) {
     return (*a)[kPid] < (*b)[kPid];
   });
-  return take_rows(examples, rows);
+  return take_rows(examples, rows, copy);
 }
 
 /// Decodes stored rows into Patterns. A row that is unrecoverable (both
@@ -382,12 +397,10 @@ std::vector<core::Pattern> decode_rows(std::vector<StoredRow>&& rows) {
   std::vector<core::Pattern> out;
   out.reserve(rows.size());
   for (StoredRow& stored : rows) {
-    const Row& row = stored.row;
     core::Pattern p;
-    if (auto tokens = pattern_tokens_from_json(row[kTokens].as_text())) {
+    if (auto tokens = pattern_tokens_from_json(stored.tokens)) {
       p.tokens = std::move(*tokens);
-    } else if (auto parsed =
-                   core::parse_pattern_text(row[kPtext].as_text())) {
+    } else if (auto parsed = core::parse_pattern_text(stored.ptext)) {
       // Degraded fallback: rebuild from the display text (types become
       // String but matching still works).
       p.tokens = std::move(*parsed);
@@ -395,10 +408,8 @@ std::vector<core::Pattern> decode_rows(std::vector<StoredRow>&& rows) {
       store_metrics().corrupt_rows.inc();
       continue;
     }
-    p.service = row[kService].as_text();
-    p.stats.match_count = static_cast<std::uint64_t>(row[kMatchCount].as_int());
-    p.stats.first_seen = row[kFirstSeen].as_int();
-    p.stats.last_matched = row[kLastMatched].as_int();
+    p.service = std::move(stored.service);
+    p.stats = stored.stats;
     p.examples = std::move(stored.examples);
     out.push_back(std::move(p));
   }
@@ -448,18 +459,35 @@ bool PatternStore::adopt_tables_locked(TableMap tables) {
 std::vector<core::Pattern> PatternStore::load_service(
     std::string_view service) {
   if (obs::telemetry_enabled()) store_metrics().load_service.inc();
+  return read_partition(service, RowCopy::kFull);
+}
+
+std::vector<core::Pattern> PatternStore::match_patterns(
+    std::string_view service) {
+  if (obs::telemetry_enabled()) store_metrics().match_patterns.inc();
+  return read_partition(service, RowCopy::kTokens);
+}
+
+std::vector<core::Pattern> PatternStore::read_partition(
+    std::string_view service, RowCopy copy) {
   std::vector<StoredRow> rows;
   {
     std::lock_guard lock(mutex_);
     // Transparent reload: a spilled partition comes back through its spill
     // file + a kOpReload group before the caller sees any rows.
     ensure_resident_locked(service);
-    rows = take_partition(patterns_, examples_, service);
+    rows = take_partition(patterns_, examples_, service, copy);
     refresh_partition_locked(service);
   }
-  // Decoding the token lists is most of a load's work; doing it unlocked
+  // Decoding the token lists is most of a read's work; doing it unlocked
   // keeps the other lanes' record_match/upsert from queueing behind it.
-  return decode_rows(std::move(rows));
+  std::vector<core::Pattern> patterns = decode_rows(std::move(rows));
+  if (copy == RowCopy::kTokens) {
+    // Token-only rows carry no service cell; every row of the partition
+    // has `service`.
+    for (core::Pattern& p : patterns) p.service = service;
+  }
+  return patterns;
 }
 
 std::vector<std::string> PatternStore::services() {
@@ -1141,7 +1169,8 @@ bool PatternStore::spill_partition(const std::string& service) {
     return false;
   }
   std::vector<core::Pattern> rows =
-      decode_rows(take_partition(patterns_, examples_, service));
+      decode_rows(take_partition(patterns_, examples_, service,
+                                 RowCopy::kFull));
   if (rows.empty()) {
     // Nothing to spill. Refresh so a zero-row LRU entry (left by pin/touch
     // on a service with no stored patterns) is dropped once unpinned

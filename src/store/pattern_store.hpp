@@ -49,6 +49,11 @@
 
 namespace seqrtg::store {
 
+/// What a read copies out of each pattern row under the store mutex:
+/// every field a Pattern carries, examples included, or only the token
+/// JSON and its display-text fallback (match_patterns).
+enum class RowCopy : std::uint8_t { kFull, kTokens };
+
 // Partition spill (resource governance, DESIGN.md §17):
 //
 // A spilled partition's rows live in a per-service `spill-<hash>.sp` file
@@ -83,6 +88,10 @@ class PatternStore final : public core::PatternRepository,
 
   // PatternRepository:
   std::vector<core::Pattern> load_service(std::string_view service) override;
+  /// load_service's partition read with RowCopy::kTokens: same rows, same
+  /// order, same reload, governor touch and corrupt-row accounting, but
+  /// only `service` and `tokens` set and no example rows looked up.
+  std::vector<core::Pattern> match_patterns(std::string_view service) override;
   std::vector<std::string> services() override;
   void upsert_pattern(const core::Pattern& p) override;
   void record_match(const std::string& id, std::uint64_t count,
@@ -234,6 +243,12 @@ class PatternStore final : public core::PatternRepository,
   /// the store's, or a cell's type differs from its column's; other tables
   /// are ignored.
   bool adopt_tables_locked(TableMap tables);
+
+  /// The body of load_service and match_patterns: reloads a spilled
+  /// partition, copies its rows in pid order under the mutex, touches the
+  /// governor, and decodes them after unlocking.
+  std::vector<core::Pattern> read_partition(std::string_view service,
+                                            RowCopy copy);
 
   // Unlocked mutation bodies shared by the public entry points and WAL
   // replay (replay must not re-append). Every write to the pattern and

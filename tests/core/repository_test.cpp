@@ -56,6 +56,23 @@ TEST(InMemoryRepository, ServiceSeparation) {
   EXPECT_EQ(services[1], "sshd");
 }
 
+TEST(InMemoryRepository, MatchPatternsIsLoadService) {
+  InMemoryRepository repo;
+  Pattern p = make_pattern("sshd", "hello", 2);
+  p.examples = {"hello"};
+  repo.upsert_pattern(p);
+  repo.upsert_pattern(make_pattern("sshd", "bye"));
+  repo.upsert_pattern(make_pattern("cron", "tick"));
+  const std::vector<Pattern> loaded = repo.load_service("sshd");
+  const std::vector<Pattern> matched = repo.match_patterns("sshd");
+  ASSERT_EQ(matched.size(), loaded.size());
+  for (std::size_t i = 0; i < matched.size(); ++i) {
+    EXPECT_EQ(matched[i], loaded[i]);
+    EXPECT_EQ(matched[i].examples, loaded[i].examples);
+  }
+  EXPECT_TRUE(repo.match_patterns("other").empty());
+}
+
 TEST(InMemoryRepository, RecordMatchUpdatesStats) {
   InMemoryRepository repo;
   const Pattern p = make_pattern("s", "x", 1);

@@ -3,13 +3,20 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <thread>
 
+#include "core/analyze_by_service.hpp"
+#include "core/evolution.hpp"
+#include "core/governor.hpp"
+#include "loggen/fleet.hpp"
 #include "obs/metrics.hpp"
+#include "store/wal.hpp"
 #include "util/rng.hpp"
 
 namespace seqrtg::store {
@@ -563,6 +570,216 @@ TEST(PatternStore, DamagedSnapshotsNeverCrashTheLoader) {
       expect_every_row_read(store, what);
     }
   }
+  fs::remove_all(dir);
+}
+
+// --- match_patterns: the engine's per-flush read -------------------------
+
+std::vector<core::LogRecord> fleet_stream(std::size_t services,
+                                          std::size_t records,
+                                          std::uint64_t seed) {
+  loggen::FleetOptions opts;
+  opts.services = services;
+  opts.seed = seed;
+  return loggen::FleetGenerator(opts).take(records);
+}
+
+/// Mines a 16-service fleet stream into `store` batch by batch, the way a
+/// serve lane flushes it.
+void mine_fleet(PatternStore& store) {
+  const std::vector<core::LogRecord> stream = fleet_stream(16, 4000, 23);
+  core::Engine engine(&store, core::EngineOptions{});
+  for (std::size_t at = 0; at < stream.size(); at += 500) {
+    engine.analyze_by_service(
+        {stream.begin() + static_cast<std::ptrdiff_t>(at),
+         stream.begin() + static_cast<std::ptrdiff_t>(
+                              std::min(at + 500, stream.size()))});
+  }
+}
+
+/// match_patterns must give the matcher exactly what load_service gives
+/// it: the same services and tokens in the same (precedence) order, and
+/// nothing the matcher does not read.
+void expect_match_read(const std::vector<core::Pattern>& matched,
+                       const std::vector<core::Pattern>& loaded,
+                       const std::string& what) {
+  ASSERT_EQ(matched.size(), loaded.size()) << what;
+  for (std::size_t i = 0; i < matched.size(); ++i) {
+    EXPECT_EQ(matched[i].service, loaded[i].service) << what << " #" << i;
+    EXPECT_EQ(matched[i].tokens, loaded[i].tokens) << what << " #" << i;
+    EXPECT_TRUE(matched[i].examples.empty()) << what << " #" << i;
+  }
+}
+
+TEST(PatternStoreMatchRead, ResidentPartitionsMatchLoadService) {
+  PatternStore store;
+  mine_fleet(store);
+  const std::vector<std::string> services = store.services();
+  ASSERT_EQ(services.size(), 16u);
+  std::size_t rows = 0;
+  for (const std::string& service : services) {
+    const std::vector<core::Pattern> loaded = store.load_service(service);
+    rows += loaded.size();
+    expect_match_read(store.match_patterns(service), loaded, service);
+  }
+  EXPECT_EQ(rows, store.pattern_count());
+}
+
+TEST(PatternStoreMatchRead, SpilledPartitionReloadsLikeLoadService) {
+  const fs::path dir = temp_path("match_read_spill");
+  fs::remove_all(dir);
+  PatternStore store;
+  ASSERT_TRUE(store.open(dir.string()));
+  mine_fleet(store);
+  core::MemoryAccountant accountant;
+  core::GovernorPolicy policy;
+  policy.ceiling_bytes = 1 << 30;  // spills below are explicit
+  core::Governor governor(policy, &accountant);
+  store.attach_governor(&governor);
+  const std::string wal = (dir / "wal.log").string();
+
+  for (const std::string& service : store.services()) {
+    ASSERT_TRUE(store.spill_partition(service)) << service;
+    const std::size_t groups = Wal::replay(wal).records.size();
+    const std::uint64_t reloads = governor.stats().reloads;
+
+    const std::vector<core::Pattern> matched = store.match_patterns(service);
+    EXPECT_FALSE(store.is_spilled(service)) << service;
+    const Wal::ReplayResult log = Wal::replay(wal);
+    ASSERT_EQ(log.records.size(), groups + 1) << service;
+    ASSERT_FALSE(log.records.back().payload.empty());
+    EXPECT_EQ(log.records.back().payload[0], 5) << "one kOpReload group";
+    EXPECT_EQ(governor.stats().reloads, reloads + 1) << service;
+
+    // load_service reads the partition resident: no further group.
+    expect_match_read(matched, store.load_service(service), service);
+    EXPECT_EQ(Wal::replay(wal).records.size(), groups + 1) << service;
+  }
+  EXPECT_FALSE(
+      accountant.audit(store.recount_partition_bytes()).has_value());
+  store.attach_governor(nullptr);
+  fs::remove_all(dir);
+}
+
+TEST(PatternStoreMatchRead, DamagedRowsReadLikeLoadService) {
+  const fs::path path = temp_path("match_read_damaged.db");
+  std::vector<std::string> services;
+  {
+    PatternStore store;
+    mine_fleet(store);
+    services = store.services();
+    ASSERT_TRUE(store.save(path.string()));
+  }
+  // A degraded row (broken JSON, parseable display text) and an
+  // unrecoverable one, in two different mined services. Their pids sort
+  // among the SHA-1 pids, so the order check covers them too.
+  plant_pattern_row(path, {"d0degraded", services[0], "login %user% from %ip%",
+                           "not json", 3, 0.6, 4, 1, 1});
+  plant_pattern_row(path, {"b0corrupt", services[1], "%unterminated",
+                           "{{{not json", 1, 0.0, 3, 1, 1});
+  PatternStore store;
+  ASSERT_TRUE(store.load(path.string()));
+  fs::remove(path);
+
+  auto& corrupt = corrupt_rows();
+  for (const std::string& service : services) {
+    const bool damaged = service == services[1];
+    std::uint64_t before = corrupt.value();
+    const std::vector<core::Pattern> matched = store.match_patterns(service);
+    EXPECT_EQ(corrupt.value() - before, damaged ? 1u : 0u) << service;
+    before = corrupt.value();
+    const std::vector<core::Pattern> loaded = store.load_service(service);
+    EXPECT_EQ(corrupt.value() - before, damaged ? 1u : 0u) << service;
+    expect_match_read(matched, loaded, service);
+  }
+  const std::vector<core::Pattern> degraded =
+      store.match_patterns(services[0]);
+  EXPECT_EQ(std::count_if(degraded.begin(), degraded.end(),
+                          [](const core::Pattern& p) {
+                            return p.text() == "login %user% from %ip%";
+                          }),
+            1);
+}
+
+TEST(PatternStoreMatchRead, UnknownServiceReadsNothing) {
+  PatternStore store;
+  mine_fleet(store);
+  EXPECT_TRUE(store.match_patterns("no-such-service").empty());
+  EXPECT_TRUE(store.match_patterns("").empty());
+}
+
+TEST(PatternStoreMatchRead, EnginesEvolutionAndSpillsShareOneStore) {
+  // Two serve-style lanes flush over one durable store while a third
+  // thread runs evolution passes the way serve does (every partition
+  // pinned) and a small ceiling keeps spills and reloads going. Under TSan
+  // (scripts/sanitize.sh) this is the race check of the matcher's read.
+  const fs::path dir = temp_path("match_read_race");
+  fs::remove_all(dir);
+  PatternStore store;
+  ASSERT_TRUE(store.open(dir.string()));
+  core::MemoryAccountant accountant;
+  core::GovernorPolicy policy;
+  policy.ceiling_bytes = 16 * 1024;
+  core::Governor governor(policy, &accountant);
+  store.attach_governor(&governor);
+  core::SketchRegistry sketches;
+  core::EngineOptions opts;
+  opts.governor = &governor;
+  opts.sketches = &sketches;
+
+  // Lanes own disjoint services, as serve's service-hash routing does.
+  const std::vector<core::LogRecord> stream = fleet_stream(12, 4800, 31);
+  std::vector<core::LogRecord> lane_records[2];
+  for (const core::LogRecord& r : stream) {
+    lane_records[std::hash<std::string>{}(r.service) % 2].push_back(r);
+  }
+  std::atomic<int> lanes_running{2};
+  core::BatchReport reports[2];
+  const auto lane = [&](int i) {
+    core::Engine engine(&store, opts);
+    const std::vector<core::LogRecord>& records = lane_records[i];
+    for (std::size_t at = 0; at < records.size(); at += 200) {
+      reports[i] += engine.analyze_by_service(
+          {records.begin() + static_cast<std::ptrdiff_t>(at),
+           records.begin() + static_cast<std::ptrdiff_t>(
+                                 std::min(at + 200, records.size()))});
+    }
+    lanes_running.fetch_sub(1);
+  };
+  std::size_t passes = 0;
+  const auto evolution = [&] {
+    do {
+      const std::vector<std::string> pinned = store.services();
+      for (const std::string& s : pinned) governor.pin(s);
+      core::evolve_repository(store, &sketches, core::EvolutionOptions{});
+      for (const std::string& s : pinned) governor.unpin(s);
+      governor.enforce();
+      ++passes;
+    } while (lanes_running.load() > 0);
+  };
+  std::thread a(lane, 0);
+  std::thread b(lane, 1);
+  std::thread c(evolution);
+  a.join();
+  b.join();
+  c.join();
+
+  EXPECT_GT(passes, 0u);
+  EXPECT_EQ(reports[0].records + reports[1].records, stream.size());
+  EXPECT_EQ(reports[0].matched_existing + reports[0].analyzed +
+                reports[1].matched_existing + reports[1].analyzed,
+            stream.size());
+  EXPECT_GT(governor.stats().spills, 0u);
+  EXPECT_GT(governor.stats().reloads, 0u);
+  EXPECT_FALSE(
+      accountant.audit(store.recount_partition_bytes()).has_value());
+  // The match read goes first: a partition left spilled must come back
+  // through it, not through load_service.
+  for (const std::string& service : store.services()) {
+    const std::vector<core::Pattern> matched = store.match_patterns(service);
+    expect_match_read(matched, store.load_service(service), service);
+  }
+  store.attach_governor(nullptr);
   fs::remove_all(dir);
 }
 
