@@ -47,7 +47,11 @@ fi
 # so its differential fuzz runs under ASan/UBSan; the ledger property test
 # drives spill/reload, reopen and standby replication), and the engine's
 # per-flush store read (pattern_store_test races two engines' match reads
-# against an evolution thread and ceiling-driven spills).
+# against an evolution thread and ceiling-driven spills), and the store's
+# snapshot reader (snapshot_test and store_golden_test load typed rows
+# from bytes read back from disk, and pattern_store_test replays the
+# damaged-snapshot verdict fixture, so ASan/UBSan check the cell decoding
+# and the row building on every rule the loader enforces).
 [ $# -gt 0 ] || set -- metrics_test thread_pool_test analyze_by_service_test \
   arena_test interner_test scan_into_equivalence_test wal_test \
   pattern_store_test bounded_queue_test serve_test serve_drain_test \
@@ -55,7 +59,8 @@ fi
   fault_sim_test differential_test simd_equivalence_test matchprog_test \
   evolution_test validation_test cluster_test cluster_proto_fuzz_test \
   cluster_failover_test governor_test spill_test governor_serve_test \
-  governance_test spill_crash_test token_codec_test ledger_property_test
+  governance_test spill_crash_test token_codec_test ledger_property_test \
+  snapshot_test store_golden_test
 for t in "$@"; do
   "$BUILD/tests/$t"
 done

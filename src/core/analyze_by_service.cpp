@@ -8,7 +8,6 @@
 #include "core/governor.hpp"
 #include "core/parser.hpp"
 #include "obs/metrics.hpp"
-#include "obs/stage_timer.hpp"
 #include "obs/trace.hpp"
 #include "util/thread_pool.hpp"
 
@@ -101,10 +100,10 @@ Engine::ServiceOutcome Engine::process_service(
   // moves into the parser without a second copy.
   Parser parser(opts_.scanner, opts_.special);
   {
-    obs::StageTimer timer(engine_metrics().phase_load);
-    obs::TraceSpan span(obs::TraceCat::kEngine, "load_partition");
+    obs::Stage stage(engine_metrics().phase_load, obs::TraceCat::kEngine,
+                     "load_partition");
     std::vector<Pattern> patterns = repo_->match_patterns(service);
-    span.set_args(static_cast<std::int64_t>(patterns.size()));
+    stage.set_args(static_cast<std::int64_t>(patterns.size()));
     for (Pattern& p : patterns) parser.add_pattern(std::move(p));
   }
 
@@ -112,9 +111,9 @@ Engine::ServiceOutcome Engine::process_service(
   std::map<std::size_t, AnalyzerTrie> tries;
 
   {
-    obs::StageTimer timer(engine_metrics().phase_parse_first);
-    obs::TraceSpan span(obs::TraceCat::kEngine, "parse_first");
-    span.set_args(static_cast<std::int64_t>(records.size()));
+    obs::Stage stage(engine_metrics().phase_parse_first,
+                     obs::TraceCat::kEngine, "parse_first");
+    stage.set_args(static_cast<std::int64_t>(records.size()));
     // One scratch buffer and one match result per service pass: each pool
     // worker runs process_service to completion, so the whole loop
     // tokenises and matches with zero steady-state allocations. Tokens
@@ -191,9 +190,9 @@ Engine::ServiceOutcome Engine::process_service(
     }
   }
 
-  obs::StageTimer analysis_timer(engine_metrics().phase_trie_analysis);
-  obs::TraceSpan analysis_span(obs::TraceCat::kEngine, "trie_analysis");
-  analysis_span.set_args(static_cast<std::int64_t>(tries.size()));
+  obs::Stage analysis(engine_metrics().phase_trie_analysis,
+                      obs::TraceCat::kEngine, "trie_analysis");
+  analysis.set_args(static_cast<std::int64_t>(tries.size()));
   for (auto& [length, trie] : tries) {
     std::vector<Pattern> patterns = trie.analyze(service);
     for (Pattern& p : patterns) {
@@ -207,8 +206,7 @@ Engine::ServiceOutcome Engine::process_service(
       outcome.new_patterns.push_back(std::move(p));
     }
   }
-  analysis_timer.stop();
-  analysis_span.end();
+  analysis.end();
   for (const auto& [length, trie] : tries) {
     outcome.trie_arena_bytes += trie.arena_resident_bytes();
     outcome.interner_bytes += trie.interner().bytes_resident();
@@ -218,22 +216,21 @@ Engine::ServiceOutcome Engine::process_service(
 
 BatchReport Engine::analyze_by_service(const std::vector<LogRecord>& batch) {
   EngineMetrics& metrics = engine_metrics();
-  obs::StageTimer batch_timer(metrics.batch_seconds);
-  obs::TraceSpan batch_span(obs::TraceCat::kEngine, "batch");
-  batch_span.set_args(static_cast<std::int64_t>(batch.size()));
+  obs::Stage batch_stage(metrics.batch_seconds, obs::TraceCat::kEngine,
+                         "batch");
+  batch_stage.set_args(static_cast<std::int64_t>(batch.size()));
 
   // First partitioning: group records by service, preserving stream order
   // inside each group.
-  obs::StageTimer partition_timer(metrics.phase_partition);
   std::map<std::string, std::vector<const LogRecord*>> by_service;
   {
-    obs::TraceSpan span(obs::TraceCat::kEngine, "partition");
+    obs::Stage stage(metrics.phase_partition, obs::TraceCat::kEngine,
+                     "partition");
     for (const LogRecord& r : batch) {
       by_service[r.service].push_back(&r);
     }
-    span.set_args(static_cast<std::int64_t>(by_service.size()));
+    stage.set_args(static_cast<std::int64_t>(by_service.size()));
   }
-  partition_timer.stop();
 
   // Snapshot const pointers to the partitions up front: pool workers must
   // never touch the map itself (operator[] is non-const and a concurrent
@@ -252,7 +249,7 @@ BatchReport Engine::analyze_by_service(const std::vector<LogRecord>& batch) {
   if (opts_.threads > 1 && service_names.size() > 1) {
     // Pool workers carry no thread-local span context; parent their phase
     // spans to this batch span explicitly.
-    const std::uint64_t batch_span_id = batch_span.id();
+    const std::uint64_t batch_span_id = batch_stage.id();
     util::ThreadPool pool(std::min(opts_.threads, service_names.size()));
     pool.parallel_for(service_names.size(), [&](std::size_t i) {
       obs::ScopedParent parent(batch_span_id);
@@ -269,8 +266,8 @@ BatchReport Engine::analyze_by_service(const std::vector<LogRecord>& batch) {
   // scope makes the repo-save phase all-or-nothing on durable
   // repositories: if anything throws mid-apply, the guard aborts and the
   // durable store keeps none of this batch.
-  obs::StageTimer save_timer(metrics.phase_repo_save);
-  obs::TraceSpan save_span(obs::TraceCat::kEngine, "repo_save");
+  obs::Stage save(metrics.phase_repo_save, obs::TraceCat::kEngine,
+                  "repo_save");
   BatchReport total;
   std::size_t trie_bytes = 0;
   std::size_t interner_bytes = 0;
@@ -317,9 +314,8 @@ BatchReport Engine::analyze_by_service(const std::vector<LogRecord>& batch) {
   // double-count a service seen in several batches); within one batch each
   // service contributes exactly one outcome.
   total.services = outcomes.size();
-  save_span.set_args(static_cast<std::int64_t>(total.new_patterns));
-  save_span.end();
-  save_timer.stop();
+  save.set_args(static_cast<std::int64_t>(total.new_patterns));
+  save.end();
 
   if (obs::telemetry_enabled()) {
     metrics.batches.inc();

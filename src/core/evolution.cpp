@@ -7,7 +7,6 @@
 #include "core/trie.hpp"
 #include "core/validation.hpp"
 #include "obs/metrics.hpp"
-#include "obs/stage_timer.hpp"
 #include "obs/trace.hpp"
 #include "util/json.hpp"
 
@@ -662,8 +661,8 @@ EvolutionReport evolve_repository(PatternRepository& repo,
                                   SketchRegistry* sketches,
                                   const EvolutionOptions& opts) {
   EvolutionMetrics& metrics = evolution_metrics();
-  obs::StageTimer timer(metrics.pass_seconds);
-  obs::TraceSpan span(obs::TraceCat::kEngine, "evolution_pass");
+  obs::Stage stage(metrics.pass_seconds, obs::TraceCat::kEngine,
+                   "evolution_pass");
 
   EvolutionReport total;
   const std::map<std::string, std::vector<ValueSketch>> sketch_snapshot =

@@ -41,7 +41,9 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/clock.hpp"
+#include "util/stopwatch.hpp"
 
 namespace seqrtg::obs {
 
@@ -205,6 +207,39 @@ class TraceSpan {
 
   SpanRecord span_;
   std::uint64_t prev_current_ = 0;
+};
+
+/// One instrumentation scope per pipeline stage: the stage's span and its
+/// latency histogram. end() (or the destructor) records the span when the
+/// tracer is on and observes the histogram, timed on util::Stopwatch
+/// (steady clock, not the tracer's injectable clock), when telemetry is on.
+class Stage {
+ public:
+  Stage(Histogram& histogram, TraceCat cat, const char* name)
+      : span_(cat, name), histogram_(&histogram) {}
+
+  Stage(const Stage&) = delete;
+  Stage& operator=(const Stage&) = delete;
+  ~Stage() { end(); }
+
+  std::uint64_t id() const { return span_.id(); }
+
+  void set_args(std::int64_t arg1, std::int64_t arg2 = -1) {
+    span_.set_args(arg1, arg2);
+  }
+
+  /// Records now (idempotent); the destructor then does nothing.
+  void end() {
+    if (histogram_ == nullptr) return;
+    if (telemetry_enabled()) histogram_->observe(watch_.seconds());
+    histogram_ = nullptr;
+    span_.end();
+  }
+
+ private:
+  TraceSpan span_;
+  Histogram* histogram_;
+  util::Stopwatch watch_;
 };
 
 /// Overrides this thread's current-span id for a scope — the cross-thread

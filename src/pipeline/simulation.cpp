@@ -5,7 +5,7 @@
 
 #include "core/validation.hpp"
 #include "obs/metrics.hpp"
-#include "obs/stage_timer.hpp"
+#include "obs/trace.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
 
@@ -178,10 +178,11 @@ DayStats ProductionSimulation::run_day() {
     pending_.push_back(std::move(rec.record));
     if (pending_.size() >= opts_.batch_size) {
       util::Stopwatch timer;
-      obs::StageTimer obs_timer(sim_metrics().analysis_seconds);
+      obs::Stage stage(sim_metrics().analysis_seconds,
+                       obs::TraceCat::kPipeline, "analysis_flush");
       engine_.analyze_by_service(pending_);
       analysis_seconds += timer.seconds();
-      obs_timer.stop();
+      stage.end();
       ++stats.analyses;
       pending_.clear();
     }

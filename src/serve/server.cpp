@@ -23,7 +23,6 @@
 #include "obs/eventlog.hpp"
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
-#include "obs/stage_timer.hpp"
 #include "obs/trace.hpp"
 #include "util/cpuid.hpp"
 #include "util/json.hpp"
@@ -408,12 +407,12 @@ void Server::flush_lane(core::Engine& engine,
                         std::vector<core::LogRecord>& batch,
                         std::size_t index) {
   if (batch.empty()) return;
-  obs::StageTimer timer(serve_metrics().flush_seconds);
   // Root span of this lane's dequeue->analyze->commit cycle; the engine's
   // batch/phase spans and the store's wal_append nest under it.
-  obs::TraceSpan span(obs::TraceCat::kServe, "lane_flush");
-  span.set_args(static_cast<std::int64_t>(index),
-                static_cast<std::int64_t>(batch.size()));
+  obs::Stage stage(serve_metrics().flush_seconds, obs::TraceCat::kServe,
+                   "lane_flush");
+  stage.set_args(static_cast<std::int64_t>(index),
+                 static_cast<std::int64_t>(batch.size()));
   engine.set_now_unix(clock_->now_unix());
   const core::BatchReport report = engine.analyze_by_service(batch);
   processed_.fetch_add(batch.size(), std::memory_order_relaxed);

@@ -8,11 +8,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <system_error>
-#include <unordered_map>
 
 #include "obs/eventlog.hpp"
 #include "obs/metrics.hpp"
-#include "obs/stage_timer.hpp"
 #include "obs/trace.hpp"
 
 namespace seqrtg::store {
@@ -20,41 +18,6 @@ namespace seqrtg::store {
 namespace {
 
 namespace fs = std::filesystem;
-
-/// Column positions of the two tables (schema in pattern_store.hpp).
-enum PatternColumn : std::size_t {
-  kPid,
-  kService,
-  kPtext,
-  kTokens,
-  kTokenCount,
-  kComplexity,
-  kMatchCount,
-  kFirstSeen,
-  kLastMatched,
-};
-enum ExampleColumn : std::size_t { kExamplePid, kExampleSeq, kExampleMessage };
-
-Schema patterns_schema() {
-  Schema s;
-  s.columns = {{"pid", ValueType::Text},         {"service", ValueType::Text},
-               {"ptext", ValueType::Text},       {"tokens", ValueType::Text},
-               {"token_count", ValueType::Integer},
-               {"complexity", ValueType::Real},
-               {"match_count", ValueType::Integer},
-               {"first_seen", ValueType::Integer},
-               {"last_matched", ValueType::Integer}};
-  s.primary_key = kPid;
-  return s;
-}
-
-Schema examples_schema() {
-  Schema s;
-  s.columns = {{"pid", ValueType::Text},
-               {"seq", ValueType::Integer},
-               {"message", ValueType::Text}};
-  return s;
-}
 
 /// WAL op codes (one byte each inside a commit group).
 constexpr std::uint8_t kOpUpsert = 1;
@@ -90,6 +53,16 @@ std::size_t pattern_row_bytes(std::string_view pid, std::string_view service,
 
 std::size_t example_row_bytes(std::string_view message) {
   return kExampleRowOverheadBytes + message.size();
+}
+
+/// A pattern row's bytes with its examples.
+std::size_t row_bytes(std::string_view pid, const PatternRow& row) {
+  std::size_t bytes =
+      pattern_row_bytes(pid, row.service, row.ptext, row.tokens);
+  for (const ExampleRow& e : row.examples) {
+    bytes += example_row_bytes(e.message);
+  }
+  return bytes;
 }
 
 /// Store operation counters; same family as the in-memory repository,
@@ -321,23 +294,7 @@ bool decode_upsert_ops(std::string_view blob,
   return r.ok;
 }
 
-/// The examples of `pid` in seq order, which is also their insertion
-/// order for every row the store writes itself.
-std::vector<std::string> load_examples(const Table& examples,
-                                       std::string_view pid) {
-  std::vector<RowId> ids = examples.find_eq("pid", Value(pid));
-  std::stable_sort(ids.begin(), ids.end(), [&](RowId a, RowId b) {
-    return examples.row(a)[kExampleSeq] < examples.row(b)[kExampleSeq];
-  });
-  std::vector<std::string> out;
-  out.reserve(ids.size());
-  for (const RowId id : ids) {
-    out.push_back(examples.row(id)[kExampleMessage].as_text());
-  }
-  return out;
-}
-
-/// The cells of a pattern row that a Pattern is decoded from, copied out
+/// The fields of a pattern row that a Pattern is decoded from, copied out
 /// under the store mutex; decode_rows turns them into Patterns, which
 /// readers do after releasing the mutex. A RowCopy::kTokens copy holds
 /// only `tokens` and `ptext`.
@@ -349,44 +306,27 @@ struct StoredRow {
   std::vector<std::string> examples;
 };
 
-std::vector<StoredRow> take_rows(const Table& examples,
-                                 const std::vector<const Row*>& rows,
-                                 RowCopy copy = RowCopy::kFull) {
+StoredRow take_row(const PatternRow& row, RowCopy copy = RowCopy::kFull) {
+  StoredRow stored;
+  stored.tokens = row.tokens;
+  stored.ptext = row.ptext;
+  if (copy == RowCopy::kTokens) return stored;
+  stored.service = row.service;
+  stored.stats.match_count = static_cast<std::uint64_t>(row.match_count);
+  stored.stats.first_seen = row.first_seen;
+  stored.stats.last_matched = row.last_matched;
+  stored.examples.reserve(row.examples.size());
+  for (const ExampleRow& e : row.examples) stored.examples.push_back(e.message);
+  return stored;
+}
+
+/// A partition's rows in pid order, copied as `copy` says.
+std::vector<StoredRow> take_rows(
+    const std::map<std::string_view, PatternRow*>& rows, RowCopy copy) {
   std::vector<StoredRow> out;
   out.reserve(rows.size());
-  for (const Row* row : rows) {
-    StoredRow& stored = out.emplace_back();
-    stored.tokens = (*row)[kTokens].as_text();
-    stored.ptext = (*row)[kPtext].as_text();
-    if (copy == RowCopy::kTokens) continue;
-    stored.service = (*row)[kService].as_text();
-    stored.stats.match_count =
-        static_cast<std::uint64_t>((*row)[kMatchCount].as_int());
-    stored.stats.first_seen = (*row)[kFirstSeen].as_int();
-    stored.stats.last_matched = (*row)[kLastMatched].as_int();
-    stored.examples = load_examples(examples, (*row)[kPid].as_text());
-  }
+  for (const auto& [pid, row] : rows) out.push_back(take_row(*row, copy));
   return out;
-}
-
-std::vector<const Row*> rows_of(const Table& table,
-                                const std::vector<RowId>& ids) {
-  std::vector<const Row*> out;
-  out.reserve(ids.size());
-  for (const RowId id : ids) out.push_back(&table.row(id));
-  return out;
-}
-
-/// `service`'s pattern rows sorted by pid, copied as `copy` says.
-std::vector<StoredRow> take_partition(const Table& patterns,
-                                      const Table& examples,
-                                      std::string_view service, RowCopy copy) {
-  std::vector<const Row*> rows =
-      rows_of(patterns, patterns.find_eq("service", Value(service)));
-  std::stable_sort(rows.begin(), rows.end(), [](const Row* a, const Row* b) {
-    return (*a)[kPid] < (*b)[kPid];
-  });
-  return take_rows(examples, rows, copy);
 }
 
 /// Decodes stored rows into Patterns. A row that is unrecoverable (both
@@ -418,42 +358,19 @@ std::vector<core::Pattern> decode_rows(std::vector<StoredRow>&& rows) {
 
 }  // namespace
 
-PatternStore::PatternStore() { reset_tables_locked(); }
-
-void PatternStore::reset_tables_locked() {
-  TableMap tables;
-  tables.emplace("patterns", Table(patterns_schema()));
-  tables.emplace("examples", Table(examples_schema()));
-  adopt_tables_locked(std::move(tables));
-}
-
-bool PatternStore::adopt_tables_locked(TableMap tables) {
-  // A NULL (or otherwise mistyped) cell would load, but the typed readers
-  // would see "" or 0 in its place: a service cell of N lists as "" yet no
-  // load_service call can reach its rows.
-  const auto cells_typed = [](const Table& table) {
-    const std::vector<Column>& cols = table.schema().columns;
-    for (const Row* row : table.snapshot()) {
-      for (std::size_t c = 0; c < cols.size(); ++c) {
-        if ((*row)[c].type() != cols[c].type) return false;
-      }
+void PatternStore::reset_rows_locked(PatternRows rows) {
+  rows_ = std::move(rows);
+  partitions_.clear();
+  next_stamp_ = 0;
+  for (auto& [pid, row] : rows_) {
+    Partition& partition = partitions_[row.service];
+    partition.rows.emplace(pid, &row);
+    partition.bytes += row_bytes(pid, row);
+    next_stamp_ = std::max(next_stamp_, row.stamp + 1);
+    for (const ExampleRow& e : row.examples) {
+      next_stamp_ = std::max(next_stamp_, e.stamp + 1);
     }
-    return true;
-  };
-  const auto patterns = tables.find("patterns");
-  const auto examples = tables.find("examples");
-  if (patterns == tables.end() || examples == tables.end() ||
-      patterns->second.schema() != patterns_schema() ||
-      examples->second.schema() != examples_schema() ||
-      !cells_typed(patterns->second) || !cells_typed(examples->second)) {
-    return false;
   }
-  patterns_ = std::move(patterns->second);
-  examples_ = std::move(examples->second);
-  // Snapshots do not persist the secondary indexes.
-  patterns_.add_index("service");
-  examples_.add_index("pid");
-  return true;
 }
 
 std::vector<core::Pattern> PatternStore::load_service(
@@ -476,7 +393,9 @@ std::vector<core::Pattern> PatternStore::read_partition(
     // Transparent reload: a spilled partition comes back through its spill
     // file + a kOpReload group before the caller sees any rows.
     ensure_resident_locked(service);
-    rows = take_partition(patterns_, examples_, service, copy);
+    if (const auto it = partitions_.find(service); it != partitions_.end()) {
+      rows = take_rows(it->second.rows, copy);
+    }
     refresh_partition_locked(service);
   }
   // Decoding the token lists is most of a read's work; doing it unlocked
@@ -493,9 +412,7 @@ std::vector<core::Pattern> PatternStore::read_partition(
 std::vector<std::string> PatternStore::services() {
   std::lock_guard lock(mutex_);
   std::vector<std::string> out;
-  for (const Row* row : patterns_.snapshot()) {
-    out.push_back((*row)[kService].as_text());
-  }
+  for (const auto& [svc, partition] : partitions_) out.push_back(svc);
   // Spilled partitions are still part of the logical store.
   for (const auto& [svc, info] : spilled_) out.push_back(svc);
   std::sort(out.begin(), out.end());
@@ -503,104 +420,78 @@ std::vector<std::string> PatternStore::services() {
   return out;
 }
 
-void PatternStore::apply_upsert(const core::Pattern& p) {
-  const std::string pid = p.id();
-  const std::optional<RowId> existing = patterns_.find_pk(Value(pid));
-  if (!existing.has_value()) {
-    const std::string ptext = p.text();
-    std::string tokens_json = pattern_tokens_to_json(p.tokens);
-    std::size_t bytes =
-        pattern_row_bytes(pid, p.service, ptext, tokens_json);
-    patterns_.insert({Value(pid), Value(p.service), Value(ptext),
-                      Value(std::move(tokens_json)),
-                      Value(static_cast<std::int64_t>(p.token_count())),
-                      Value(p.complexity()),
-                      Value(static_cast<std::int64_t>(p.stats.match_count)),
-                      Value(p.stats.first_seen),
-                      Value(p.stats.last_matched)});
-    std::int64_t seq = 0;
+const std::string& PatternStore::apply_upsert(const core::Pattern& p) {
+  const auto [it, inserted] = rows_.try_emplace(p.id());
+  PatternRow& row = it->second;
+  if (inserted) {
+    row.service = p.service;
+    row.ptext = p.text();
+    row.tokens = pattern_tokens_to_json(p.tokens);
+    row.token_count = static_cast<std::int64_t>(p.token_count());
+    row.complexity = p.complexity();
+    row.match_count = static_cast<std::int64_t>(p.stats.match_count);
+    row.first_seen = p.stats.first_seen;
+    row.last_matched = p.stats.last_matched;
+    row.stamp = next_stamp_++;
     for (const std::string& e : p.examples) {
-      examples_.insert({Value(pid), Value(seq++), Value(e)});
-      bytes += example_row_bytes(e);
+      row.examples.push_back({e, next_stamp_++});
     }
-    partition_bytes_[p.service] += bytes;
-    return;
+    Partition& partition = partitions_[p.service];
+    partition.rows.emplace(it->first, &row);
+    partition.bytes += row_bytes(it->first, row);
+    return row.service;
   }
-  Row row = patterns_.row(*existing);
-  const std::int64_t stored_first_seen = row[kFirstSeen].as_int();
-  const std::int64_t match_count =
-      row[kMatchCount].as_int() +
-      static_cast<std::int64_t>(p.stats.match_count);
-  const std::int64_t first_seen =
-      (stored_first_seen == 0 ||
-       (p.stats.first_seen != 0 && p.stats.first_seen < stored_first_seen))
-          ? p.stats.first_seen
-          : stored_first_seen;
-  const std::int64_t last_matched =
-      std::max(row[kLastMatched].as_int(), p.stats.last_matched);
+  row.match_count += static_cast<std::int64_t>(p.stats.match_count);
+  if (row.first_seen == 0 ||
+      (p.stats.first_seen != 0 && p.stats.first_seen < row.first_seen)) {
+    row.first_seen = p.stats.first_seen;
+  }
+  row.last_matched = std::max(row.last_matched, p.stats.last_matched);
   // The stored row's service owns the charge (it equals p.service unless
   // two text+service concatenations share a hash).
-  std::size_t& bytes = partition_bytes_[row[kService].as_text()];
+  std::size_t& bytes = partitions_[row.service].bytes;
   // Same text, different variable types (see widen_pattern_tokens): widen
   // the stored token list so the pattern matches the union.
-  std::string tokens_json = row[kTokens].as_text();
-  if (auto tokens = pattern_tokens_from_json(tokens_json)) {
+  if (auto tokens = pattern_tokens_from_json(row.tokens)) {
     if (core::widen_pattern_tokens(*tokens, p.tokens)) {
       std::string widened = pattern_tokens_to_json(*tokens);
-      bytes = bytes - tokens_json.size() + widened.size();
-      tokens_json = std::move(widened);
+      bytes = bytes - row.tokens.size() + widened.size();
+      row.tokens = std::move(widened);
     }
   }
-  row[kTokens] = Value(std::move(tokens_json));
-  row[kMatchCount] = Value(match_count);
-  row[kFirstSeen] = Value(first_seen);
-  row[kLastMatched] = Value(last_matched);
-  patterns_.update_row(*existing, std::move(row));
   // Merge examples up to the configured cap (see
   // PatternRepository::set_example_cap — must agree with the in-memory
   // backend's merge_pattern_into cap or the differential oracle diverges).
-  std::vector<std::string> current = load_examples(examples_, pid);
-  std::int64_t seq = static_cast<std::int64_t>(current.size());
   for (const std::string& e : p.examples) {
-    if (current.size() >= example_cap()) break;
-    if (std::find(current.begin(), current.end(), e) == current.end()) {
-      examples_.insert({Value(pid), Value(seq++), Value(e)});
-      current.push_back(e);
+    if (row.examples.size() >= example_cap()) break;
+    if (std::none_of(row.examples.begin(), row.examples.end(),
+                     [&](const ExampleRow& x) { return x.message == e; })) {
+      row.examples.push_back({e, next_stamp_++});
       bytes += example_row_bytes(e);
     }
   }
+  return row.service;
 }
 
 std::optional<std::string> PatternStore::apply_record_match(
     const std::string& id, std::uint64_t count, std::int64_t when) {
-  const std::optional<RowId> existing = patterns_.find_pk(Value(id));
-  if (!existing.has_value()) return std::nullopt;
-  Row row = patterns_.row(*existing);
-  row[kMatchCount] =
-      Value(row[kMatchCount].as_int() + static_cast<std::int64_t>(count));
-  row[kLastMatched] = Value(std::max(row[kLastMatched].as_int(), when));
-  std::string service = row[kService].as_text();
-  patterns_.update_row(*existing, std::move(row));
-  return service;
+  const auto it = rows_.find(id);
+  if (it == rows_.end()) return std::nullopt;
+  PatternRow& row = it->second;
+  row.match_count += static_cast<std::int64_t>(count);
+  row.last_matched = std::max(row.last_matched, when);
+  return row.service;
 }
 
 std::optional<std::string> PatternStore::apply_delete(const std::string& id) {
-  const std::optional<RowId> existing = patterns_.find_pk(Value(id));
-  if (!existing.has_value()) return std::nullopt;
-  const Row& row = patterns_.row(*existing);
-  std::string service = row[kService].as_text();
-  std::size_t bytes = pattern_row_bytes(id, service, row[kPtext].as_text(),
-                                        row[kTokens].as_text());
-  patterns_.erase(*existing);
-  for (const RowId e : examples_.find_eq("pid", Value(id))) {
-    bytes += example_row_bytes(examples_.row(e)[kExampleMessage].as_text());
-    examples_.erase(e);
-  }
-  const auto it = partition_bytes_.find(service);
-  if (it != partition_bytes_.end()) {
-    it->second -= bytes;
-    if (it->second == 0) partition_bytes_.erase(it);
-  }
+  const auto it = rows_.find(id);
+  if (it == rows_.end()) return std::nullopt;
+  std::string service = it->second.service;
+  const auto partition = partitions_.find(service);
+  partition->second.bytes -= row_bytes(id, it->second);
+  partition->second.rows.erase(id);
+  if (partition->second.rows.empty()) partitions_.erase(partition);
+  rows_.erase(it);
   return service;
 }
 
@@ -642,14 +533,14 @@ void PatternStore::upsert_pattern(const core::Pattern& p) {
   // A write to a spilled partition reloads it first, so the upsert merges
   // against the full row set instead of resurrecting a partial one.
   ensure_resident_locked(p.service);
-  apply_upsert(p);
+  const std::string& service = apply_upsert(p);
   if (wal_.is_open()) {
     std::string ops;
     encode_upsert(ops, p);
     log_ops(std::move(ops));
-    note_batch_service_locked(p.service);
+    note_batch_service_locked(service);
   }
-  refresh_partition_locked(p.service);
+  refresh_partition_locked(service);
 }
 
 void PatternStore::record_match(const std::string& id, std::uint64_t count,
@@ -714,8 +605,8 @@ std::optional<core::Pattern> PatternStore::find(const std::string& id) {
   std::vector<StoredRow> rows;
   {
     std::lock_guard lock(mutex_);
-    if (const auto existing = patterns_.find_pk(Value(id))) {
-      rows = take_rows(examples_, {&patterns_.row(*existing)});
+    if (const auto it = rows_.find(id); it != rows_.end()) {
+      rows.push_back(take_row(it->second));
     }
   }
   std::vector<core::Pattern> found = decode_rows(std::move(rows));
@@ -725,7 +616,7 @@ std::optional<core::Pattern> PatternStore::find(const std::string& id) {
 
 std::size_t PatternStore::pattern_count() {
   std::lock_guard lock(mutex_);
-  std::size_t count = patterns_.size();
+  std::size_t count = rows_.size();
   for (const auto& [svc, info] : spilled_) count += info.patterns;
   return count;
 }
@@ -733,23 +624,30 @@ std::size_t PatternStore::pattern_count() {
 std::vector<core::Pattern> PatternStore::export_patterns(
     const ExportFilter& filter) {
   std::lock_guard lock(mutex_);
-  // Both row sets are in insertion order, which breaks match-count ties.
-  std::vector<const Row*> resident =
-      filter.service.empty()
-          ? patterns_.snapshot()
-          : rows_of(patterns_,
-                    patterns_.find_eq("service", Value(filter.service)));
-  std::erase_if(resident, [&](const Row* row) {
-    return static_cast<std::uint64_t>((*row)[kMatchCount].as_int()) <
+  std::vector<const PatternRow*> resident;
+  if (filter.service.empty()) {
+    resident.reserve(rows_.size());
+    for (const auto& [pid, row] : rows_) resident.push_back(&row);
+  } else if (const auto it = partitions_.find(filter.service);
+             it != partitions_.end()) {
+    for (const auto& [pid, row] : it->second.rows) resident.push_back(row);
+  }
+  std::erase_if(resident, [&](const PatternRow* row) {
+    return static_cast<std::uint64_t>(row->match_count) <
                filter.min_match_count ||
-           (*row)[kComplexity].as_real() >= filter.max_complexity;
+           row->complexity >= filter.max_complexity;
   });
-  std::stable_sort(resident.begin(), resident.end(),
-                   [](const Row* a, const Row* b) {
-                     return (*b)[kMatchCount] < (*a)[kMatchCount];
-                   });
-  std::vector<core::Pattern> out =
-      decode_rows(take_rows(examples_, resident));
+  // Insertion order breaks match-count ties.
+  std::sort(resident.begin(), resident.end(),
+            [](const PatternRow* a, const PatternRow* b) {
+              return a->match_count != b->match_count
+                         ? a->match_count > b->match_count
+                         : a->stamp < b->stamp;
+            });
+  std::vector<StoredRow> stored;
+  stored.reserve(resident.size());
+  for (const PatternRow* row : resident) stored.push_back(take_row(*row));
+  std::vector<core::Pattern> out = decode_rows(std::move(stored));
   // Read-through over spilled partitions: decode the spill files directly
   // (no reload — export must not change residency), then restore the
   // match-count ordering across the combined set.
@@ -777,25 +675,21 @@ std::vector<core::Pattern> PatternStore::export_patterns(
 
 bool PatternStore::save(const std::string& path) {
   if (obs::telemetry_enabled()) store_metrics().save.inc();
-  obs::StageTimer timer(store_metrics().persist_seconds);
+  obs::Stage stage(store_metrics().persist_seconds, obs::TraceCat::kStore,
+                   "save");
   std::lock_guard lock(mutex_);
-  return save_snapshot(path, {{"patterns", &patterns_},
-                              {"examples", &examples_}});
+  return save_snapshot(path, rows_);
 }
 
 bool PatternStore::load(const std::string& path) {
   if (obs::telemetry_enabled()) store_metrics().load.inc();
-  obs::StageTimer timer(store_metrics().persist_seconds);
+  obs::Stage stage(store_metrics().persist_seconds, obs::TraceCat::kStore,
+                   "load");
   std::lock_guard lock(mutex_);
   spilled_.clear();
-  partition_bytes_.clear();
-  std::optional<TableMap> tables = load_snapshot(path);
-  if (!tables.has_value() || !adopt_tables_locked(std::move(*tables))) {
-    reset_tables_locked();
-    return false;
-  }
-  seed_partition_bytes_locked();
-  return true;
+  std::optional<PatternRows> rows = load_snapshot(path);
+  reset_rows_locked(rows.has_value() ? std::move(*rows) : PatternRows{});
+  return rows.has_value();
 }
 
 void PatternStore::replay_ops(std::string_view ops) {
@@ -822,8 +716,7 @@ void PatternStore::replay_ops(std::string_view ops) {
         continue;
       }
       p.tokens = std::move(*tokens);
-      apply_upsert(p);
-      refresh_partition_locked(p.service);
+      refresh_partition_locked(apply_upsert(p));
     } else if (op == kOpRecordMatch) {
       const std::string id(r.string());
       const std::uint64_t count = r.u64();
@@ -871,14 +764,14 @@ bool PatternStore::apply_replicated_group(std::uint64_t seq,
 
 bool PatternStore::open(const std::string& dir) {
   if (obs::telemetry_enabled()) store_metrics().load.inc();
-  obs::StageTimer timer(store_metrics().persist_seconds);
+  obs::Stage stage(store_metrics().persist_seconds, obs::TraceCat::kStore,
+                   "open");
   std::lock_guard lock(mutex_);
   wal_.close();
   dir_.clear();
-  reset_tables_locked();
+  reset_rows_locked();
   snapshot_seq_ = 0;
   spilled_.clear();
-  partition_bytes_.clear();
   batch_ops_.clear();
   batch_services_.clear();
 
@@ -899,22 +792,20 @@ bool PatternStore::open(const std::string& dir) {
   std::sort(seqs.rbegin(), seqs.rend());
   for (const std::uint64_t seq : seqs) {
     const std::string path = (fs::path(dir) / snapshot_name(seq)).string();
-    std::optional<TableMap> tables = load_snapshot(path);
-    if (tables.has_value() && adopt_tables_locked(std::move(*tables))) {
+    if (std::optional<PatternRows> rows = load_snapshot(path)) {
+      // From here on the WAL replay keeps the ledger by deltas.
+      reset_rows_locked(std::move(*rows));
       snapshot_seq_ = seq;
       break;
     }
   }
-  // From here on the WAL replay keeps the ledger by deltas.
-  seed_partition_bytes_locked();
 
   // Replay the WAL tail past the snapshot watermark, then keep the log
   // open for appending (open() truncates any torn final record).
   Wal::ReplayResult recovered;
   const std::string wal_path = (fs::path(dir) / kWalFile).string();
   if (!wal_.open(wal_path, &recovered)) {
-    reset_tables_locked();
-    partition_bytes_.clear();
+    reset_rows_locked();
     return false;
   }
   wal_.ensure_next_seq(snapshot_seq_ + 1);
@@ -937,8 +828,8 @@ bool PatternStore::open(const std::string& dir) {
 
 bool PatternStore::checkpoint() {
   if (obs::telemetry_enabled()) store_metrics().save.inc();
-  obs::StageTimer timer(store_metrics().persist_seconds);
-  obs::TraceSpan span(obs::TraceCat::kStore, "checkpoint");
+  obs::Stage stage(store_metrics().persist_seconds, obs::TraceCat::kStore,
+                   "checkpoint");
   std::lock_guard lock(mutex_);
   if (!wal_.is_open()) return false;
 
@@ -946,10 +837,7 @@ bool PatternStore::checkpoint() {
   const fs::path dir(dir_);
   const std::string final_path = (dir / snapshot_name(seq)).string();
   const std::string tmp_path = final_path + ".tmp";
-  if (!save_snapshot(tmp_path, {{"patterns", &patterns_},
-                                {"examples", &examples_}})) {
-    return false;
-  }
+  if (!save_snapshot(tmp_path, rows_)) return false;
   if (!fsync_path(tmp_path)) return false;
   if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) return false;
   if (!fsync_dir(dir_)) return false;
@@ -1018,46 +906,11 @@ bool PatternStore::write_spill_file_locked(std::string_view service,
   return true;
 }
 
-std::size_t PatternStore::partition_bytes_locked(std::string_view service) {
-  std::size_t total = 0;
-  for (const RowId id : patterns_.find_eq("service", Value(service))) {
-    const Row& row = patterns_.row(id);
-    total += pattern_row_bytes(row[kPid].as_text(), row[kService].as_text(),
-                               row[kPtext].as_text(), row[kTokens].as_text());
-    for (const RowId e : examples_.find_eq("pid", Value(row[kPid].as_text()))) {
-      total += example_row_bytes(examples_.row(e)[kExampleMessage].as_text());
-    }
-  }
-  return total;
-}
-
-void PatternStore::seed_partition_bytes_locked() {
-  partition_bytes_.clear();
-  const auto text = [](const Row* row, std::size_t col) -> const std::string& {
-    return (*row)[col].as_text();
-  };
-  // pid -> its service's entry, so each example row charges its owner.
-  std::unordered_map<std::string_view, std::size_t*> owner;
-  owner.reserve(patterns_.size());
-  for (const Row* row : patterns_.snapshot()) {
-    std::size_t& bytes = partition_bytes_[text(row, kService)];
-    bytes += pattern_row_bytes(text(row, kPid), text(row, kService),
-                               text(row, kPtext), text(row, kTokens));
-    owner.emplace(text(row, kPid), &bytes);
-  }
-  for (const Row* row : examples_.snapshot()) {
-    const auto it = owner.find(text(row, kExamplePid));
-    if (it != owner.end()) {
-      *it->second += example_row_bytes(text(row, kExampleMessage));
-    }
-  }
-}
-
 void PatternStore::refresh_partition_locked(std::string_view service) {
   if (governor_ == nullptr) return;
   core::MemoryAccountant* acct = governor_->accountant();
-  const auto it = partition_bytes_.find(service);
-  const std::size_t bytes = it == partition_bytes_.end() ? 0 : it->second;
+  const auto it = partitions_.find(service);
+  const std::size_t bytes = it == partitions_.end() ? 0 : it->second.bytes;
   if (bytes == 0) {
     if (acct != nullptr) acct->drop_partition(service);
     governor_->on_deleted(service);
@@ -1068,15 +921,10 @@ void PatternStore::refresh_partition_locked(std::string_view service) {
 }
 
 void PatternStore::erase_partition_locked(std::string_view service) {
-  for (const RowId id : patterns_.find_eq("service", Value(service))) {
-    for (const RowId e :
-         examples_.find_eq("pid", Value(patterns_.row(id)[kPid].as_text()))) {
-      examples_.erase(e);
-    }
-    patterns_.erase(id);
-  }
-  const auto it = partition_bytes_.find(service);
-  if (it != partition_bytes_.end()) partition_bytes_.erase(it);
+  const auto it = partitions_.find(service);
+  if (it == partitions_.end()) return;
+  for (const auto& [pid, row] : it->second.rows) rows_.erase(std::string(pid));
+  partitions_.erase(it);
 }
 
 void PatternStore::apply_spill(std::string_view service,
@@ -1168,9 +1016,10 @@ bool PatternStore::spill_partition(const std::string& service) {
   if (governor_ != nullptr && !governor_->try_claim_spill(service)) {
     return false;
   }
-  std::vector<core::Pattern> rows =
-      decode_rows(take_partition(patterns_, examples_, service,
-                                 RowCopy::kFull));
+  std::vector<core::Pattern> rows;
+  if (const auto it = partitions_.find(service); it != partitions_.end()) {
+    rows = decode_rows(take_rows(it->second.rows, RowCopy::kFull));
+  }
   if (rows.empty()) {
     // Nothing to spill. Refresh so a zero-row LRU entry (left by pin/touch
     // on a service with no stored patterns) is dropped once unpinned
@@ -1230,7 +1079,7 @@ void PatternStore::reconcile_spill_files_locked() {
       fs::remove(entry.path(), ec);
       continue;
     }
-    if (!patterns_.find_eq("service", Value(file.service)).empty()) {
+    if (partitions_.find(file.service) != partitions_.end()) {
       // Stale leftover of an interrupted spill: the kOpSpill group never
       // committed, so the rows are still resident and authoritative.
       fs::remove(entry.path(), ec);
@@ -1247,7 +1096,7 @@ void PatternStore::attach_governor(core::Governor* governor) {
   governor_->attach_target(this);
   // Seed the accountant and LRU with the current resident partitions, and
   // the spilled set with what reconcile/replay found.
-  for (const auto& [svc, bytes] : partition_bytes_) {
+  for (const auto& [svc, partition] : partitions_) {
     refresh_partition_locked(svc);
   }
   for (const auto& [svc, info] : spilled_) governor_->seed_spilled(svc);
@@ -1269,10 +1118,7 @@ std::vector<std::string> PatternStore::spilled_services() {
 std::map<std::string, std::size_t> PatternStore::recount_partition_bytes() {
   std::lock_guard lock(mutex_);
   std::map<std::string, std::size_t> out;
-  for (const Row* row : patterns_.snapshot()) {
-    const std::string& svc = (*row)[kService].as_text();
-    if (out.find(svc) == out.end()) out[svc] = partition_bytes_locked(svc);
-  }
+  for (const auto& [pid, row] : rows_) out[row.service] += row_bytes(pid, row);
   return out;
 }
 

@@ -1,4 +1,4 @@
-// PatternStore: persistent pattern repository over two typed tables.
+// PatternStore: persistent pattern repository of typed pattern rows.
 //
 // Implements RTG extension #2: "Sequence-RTG stores the patterns in a SQL
 // database in a one-to-many relationship with their related services. We
@@ -7,13 +7,14 @@
 // with a unique ID ... a SHA1 hash of the concatenated text of the pattern
 // and the service."
 //
-// Schema:
+// Each pattern is one PatternRow (store/snapshot.hpp): the nine persisted
+// fields of its `patterns` row plus its `examples` rows, found by pid and
+// grouped by service. Snapshot files persist them as the two tables
 //   patterns(pid TEXT PRIMARY KEY, service TEXT, ptext TEXT, tokens TEXT,
 //            token_count INTEGER, complexity REAL, match_count INTEGER,
 //            first_seen INTEGER, last_matched INTEGER)
 //   examples(pid TEXT, seq INTEGER, message TEXT)
-// with secondary indexes on patterns(service) and examples(pid). The store
-// owns both as store::Tables; snapshot files persist them (store/snapshot).
+// in insertion order, which each row and example carries as a stamp.
 //
 // `tokens` holds the exact token list as JSON so typed variables round-trip
 // losslessly (the display text alone cannot distinguish a key-named
@@ -43,7 +44,6 @@
 #include "core/pattern.hpp"
 #include "core/repository.hpp"
 #include "store/snapshot.hpp"
-#include "store/table.hpp"
 #include "store/token_codec.hpp"
 #include "store/wal.hpp"
 
@@ -57,7 +57,7 @@ enum class RowCopy : std::uint8_t { kFull, kTokens };
 // Partition spill (resource governance, DESIGN.md §17):
 //
 // A spilled partition's rows live in a per-service `spill-<hash>.sp` file
-// (write-to-temp + fsync + rename) instead of the in-memory tables. Two
+// (write-to-temp + fsync + rename) instead of in memory. Two
 // WAL ops make residency transitions replayable AND replicable:
 //
 //   kOpSpill(service, rows)  — erase the partition's rows, (re)write its
@@ -83,8 +83,8 @@ enum class RowCopy : std::uint8_t { kFull, kTokens };
 class PatternStore final : public core::PatternRepository,
                            public core::SpillTarget {
  public:
-  /// Starts with empty, non-durable tables.
-  PatternStore();
+  /// Starts empty and non-durable.
+  PatternStore() = default;
 
   // PatternRepository:
   std::vector<core::Pattern> load_service(std::string_view service) override;
@@ -104,7 +104,7 @@ class PatternStore final : public core::PatternRepository,
   /// commit_batch() the WAL records of every mutation are buffered and
   /// appended+fsynced as ONE commit group, so the durable store either
   /// holds the whole batch or none of it. abort_batch() discards the
-  /// buffered records — the in-memory tables keep any ops already
+  /// buffered records — the in-memory rows keep any ops already
   /// applied, so an aborted batch leaves memory ahead of the log; reopen
   /// the directory to fall back to the last committed state.
   ///
@@ -227,22 +227,26 @@ class PatternStore final : public core::PatternRepository,
   std::vector<std::string> spilled_services();
 
   /// Authoritative recount of every resident partition's bytes, computed
-  /// from the rows themselves with one lookup per row. The store's own
-  /// ledger is kept by deltas and never calls this; it exists for the
-  /// governance audit (the accountant's ledger is checked against it).
+  /// from the rows themselves in one walk. The store's own ledger is kept
+  /// by deltas and never calls this; it exists for the governance audit
+  /// (the accountant's ledger is checked against it).
   std::map<std::string, std::size_t> recount_partition_bytes();
 
  private:
-  /// Test-only route to the raw tables (tests/store/ledger_property_test).
+  /// Test-only route to the rows (tests/store/).
   friend struct PatternStoreTestAccess;
 
-  /// Replaces both tables with empty ones.
-  void reset_tables_locked();
-  /// Takes the `patterns` and `examples` tables of a parsed snapshot.
-  /// False (tables untouched) when either is missing, its schema is not
-  /// the store's, or a cell's type differs from its column's; other tables
-  /// are ignored.
-  bool adopt_tables_locked(TableMap tables);
+  /// A service's resident rows in pid order (load_service's order) and
+  /// their bytes, by the same row arithmetic as the recount. A service has
+  /// an entry exactly while it has rows.
+  struct Partition {
+    std::map<std::string_view, PatternRow*> rows;
+    std::size_t bytes = 0;
+  };
+
+  /// Replaces every row with `rows` (empty by default) and rebuilds the
+  /// partitions, their bytes and the next stamp from them in one pass.
+  void reset_rows_locked(PatternRows rows = {});
 
   /// The body of load_service and match_patterns: reloads a spilled
   /// partition, copies its rows in pid order under the mutex, touches the
@@ -251,12 +255,14 @@ class PatternStore final : public core::PatternRepository,
                                             RowCopy copy);
 
   // Unlocked mutation bodies shared by the public entry points and WAL
-  // replay (replay must not re-append). Every write to the pattern and
-  // example tables goes through these three and erase_partition_locked,
-  // which keep partition_bytes_ in step. record_match/delete return the
-  // owning service (nullopt when no row matched) so the public entry
-  // points can maintain the accountant and batch-scope bookkeeping.
-  void apply_upsert(const core::Pattern& p);
+  // replay (replay must not re-append). Every write to the rows goes
+  // through these three and erase_partition_locked, which keep each
+  // partition's bytes in step. Each returns the service of the row it
+  // changed (record_match/delete: nullopt when no row matched) so the
+  // public entry points can maintain the accountant and batch-scope
+  // bookkeeping. An upsert whose pid another service's row already holds
+  // merges into that row, so its service is not always p.service.
+  const std::string& apply_upsert(const core::Pattern& p);
   std::optional<std::string> apply_record_match(const std::string& id,
                                                 std::uint64_t count,
                                                 std::int64_t when);
@@ -273,12 +279,7 @@ class PatternStore final : public core::PatternRepository,
                                std::string_view rows_blob, bool fsync);
   bool ensure_resident_locked(std::string_view service);
   void erase_partition_locked(std::string_view service);
-  /// Recount of one partition (recount_partition_bytes' per-service step).
-  std::size_t partition_bytes_locked(std::string_view service);
-  /// Rebuilds partition_bytes_ from the tables in one pass over the rows
-  /// (after a snapshot load replaced them).
-  void seed_partition_bytes_locked();
-  /// Reports `service`'s partition_bytes_ entry to the accountant (and its
+  /// Reports `service`'s partition bytes to the accountant (and its
   /// LRU presence to the governor) after a mutation. No-op without an
   /// attached governor.
   void refresh_partition_locked(std::string_view service);
@@ -299,8 +300,12 @@ class PatternStore final : public core::PatternRepository,
   void replay_ops(std::string_view ops);
 
   std::mutex mutex_;
-  Table patterns_;
-  Table examples_;
+  /// Every resident pattern by pid. Its nodes never move, so partitions_
+  /// points into it.
+  PatternRows rows_;
+  std::map<std::string, Partition, std::less<>> partitions_;
+  /// Stamp of the next inserted row or example.
+  std::uint64_t next_stamp_ = 0;
   Wal wal_;
   std::string dir_;
   std::uint64_t snapshot_seq_ = 0;
@@ -313,10 +318,6 @@ class PatternStore final : public core::PatternRepository,
   /// the class comment).
   std::map<std::thread::id, std::set<std::string, std::less<>>>
       batch_services_;
-
-  /// Resident bytes per service, by the same row arithmetic as the
-  /// recount; a service has an entry exactly while it has rows.
-  std::map<std::string, std::size_t, std::less<>> partition_bytes_;
 
   core::Governor* governor_ = nullptr;
   struct SpilledInfo {

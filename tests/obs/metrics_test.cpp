@@ -2,13 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/ingest.hpp"
 #include "obs/build_info.hpp"
 #include "obs/exposition.hpp"
-#include "obs/stage_timer.hpp"
+#include "obs/trace.hpp"
 #include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
@@ -118,21 +120,27 @@ TEST(Histogram, EmptyQuantileIsZero) {
   EXPECT_DOUBLE_EQ(h.snapshot().quantile(0.5), 0.0);
 }
 
-TEST(StageTimer, RecordsExactlyOneObservation) {
+TEST(Stage, RecordsExactlyOneObservation) {
+  // One histogram observation and one span per scope, whether it ends by
+  // end() or by going out of scope; end() is idempotent.
   MetricsRegistry reg;
   Histogram& h = reg.histogram("stage", "", {}, default_latency_buckets());
+  tracer().start();
   {
-    StageTimer t(h);
-    const double secs = t.stop();
-    EXPECT_GE(secs, 0.0);
-    t.stop();  // idempotent
+    Stage stage(h, TraceCat::kEngine, "test_stage");
+    stage.end();
+    stage.end();
   }
   EXPECT_EQ(h.snapshot().count, 1u);
-  {
-    StageTimer t(h);
-    t.cancel();
-  }
-  EXPECT_EQ(h.snapshot().count, 1u);
+  { Stage stage(h, TraceCat::kEngine, "test_stage"); }
+  EXPECT_EQ(h.snapshot().count, 2u);
+  tracer().stop();
+  const std::vector<SpanRecord> spans = tracer().collect();
+  EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
+                          [](const SpanRecord& s) {
+                            return std::string_view(s.name) == "test_stage";
+                          }),
+            2);
 }
 
 TEST(Exposition, PrometheusGolden) {

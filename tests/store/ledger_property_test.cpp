@@ -11,7 +11,7 @@
 // apply_replicated_group (with its own checkpoints and reopens) — must
 // leave each node's accountant auditing clean against its recount after
 // every operation. The audit must still bite: an injected misaccount skew
-// and a raw table writer that bypasses apply_* are both caught.
+// and a raw row writer that bypasses apply_* are both caught.
 //
 // Replay one failing sequence alone with
 //   SEQRTG_FUZZ_SEED=<seed> ./ledger_property_test
@@ -32,9 +32,9 @@
 
 namespace seqrtg::store {
 
-/// The test-only route to a store's raw tables (a friend of PatternStore).
+/// The test-only route to a store's rows (a friend of PatternStore).
 struct PatternStoreTestAccess {
-  static Table& examples(PatternStore& store) { return store.examples_; }
+  static PatternRows& rows(PatternStore& store) { return store.rows_; }
 };
 
 namespace {
@@ -259,7 +259,7 @@ TEST(LedgerProperty, MisaccountSkewIsCaught) {
 
 TEST(LedgerProperty, WriterBypassingApplyIsCaught) {
   // The ledger trusts every write to go through apply_*; a writer that
-  // erases table rows directly leaves it stale, and the audit says so.
+  // erases example rows directly leaves it stale, and the audit says so.
   TempDir dir("bypass");
   Node node(dir.path);
   ASSERT_TRUE(node.open());
@@ -268,10 +268,7 @@ TEST(LedgerProperty, WriterBypassingApplyIsCaught) {
   p.examples = {"one example"};
   node.store().upsert_pattern(p);
   ASSERT_EQ(node.audit(), "");
-  Table& examples = PatternStoreTestAccess::examples(node.store());
-  for (const RowId id : examples.find_eq("pid", Value(p.id()))) {
-    examples.erase(id);
-  }
+  PatternStoreTestAccess::rows(node.store()).at(p.id()).examples.clear();
   node.store().load_service(p.service);  // reports the stale entry
   EXPECT_NE(node.audit(), "");
 }

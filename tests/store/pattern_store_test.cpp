@@ -17,12 +17,32 @@
 #include "loggen/fleet.hpp"
 #include "obs/metrics.hpp"
 #include "store/wal.hpp"
+#include "util/json.hpp"
 #include "util/rng.hpp"
+#include "util/sha1.hpp"
 
 namespace seqrtg::store {
+
+/// The test-only route to a store's rows (a friend of PatternStore).
+struct PatternStoreTestAccess {
+  static std::size_t rows(const PatternStore& store) {
+    return store.rows_.size();
+  }
+  /// Rows the service partitions list.
+  static std::size_t indexed_rows(const PatternStore& store) {
+    std::size_t n = 0;
+    for (const auto& [service, partition] : store.partitions_) {
+      n += partition.rows.size();
+    }
+    return n;
+  }
+};
+
 namespace {
 
 namespace fs = std::filesystem;
+
+const fs::path kFixtures = SEQRTG_STORE_FIXTURE_DIR;
 
 /// A per-process scratch path (ctest runs cases of one binary in
 /// parallel).
@@ -43,14 +63,16 @@ void write_file(const fs::path& path, const std::string& text) {
   out << text;
 }
 
-/// Appends `row` to the patterns table of the snapshot at `path`: the way
-/// a damaged row really reaches a store.
-void plant_pattern_row(const fs::path& path, const Row& row) {
+/// Appends a row of tagged cells (`T` + JSON-escaped text, `I`, `R`) to
+/// the patterns table of the snapshot at `path`: the way a damaged row
+/// really reaches a store.
+void plant_pattern_row(const fs::path& path,
+                       const std::vector<std::string>& cells) {
   std::string text = read_file(path);
   // patterns sorts after examples, so its end line closes the file.
   ASSERT_TRUE(text.ends_with("\nend\n"));
   std::string line = "row";
-  for (const Value& v : row) line += '\t' + v.encode();
+  for (const std::string& cell : cells) line += '\t' + cell;
   text.insert(text.size() - 4, line + "\n");
   write_file(path, text);
 }
@@ -302,8 +324,8 @@ TEST(PatternStore, CorruptRowIsSkippedAndCounted) {
   }
   // A row whose tokens JSON AND display text are both unparseable: readers
   // must skip it (never abort the scan) and count it.
-  plant_pattern_row(path, {"badrow", "svc", "%unterminated", "{{{not json", 1,
-                           0.0, 3, 1, 1});
+  plant_pattern_row(path, {"Tbadrow", "Tsvc", "T%unterminated",
+                           "T{{{not json", "I1", "R0", "I3", "I1", "I1"});
   PatternStore store;
   ASSERT_TRUE(store.load(path.string()));
   fs::remove(path);
@@ -323,8 +345,8 @@ TEST(PatternStore, DegradedRowFallsBackToDisplayText) {
   ASSERT_TRUE(PatternStore().save(path.string()));
   // Valid display text, corrupt JSON: the row survives with String-typed
   // variables instead of being dropped.
-  plant_pattern_row(path, {"degraded", "svc", "login %user%", "not json", 2,
-                           0.5, 4, 1, 1});
+  plant_pattern_row(path, {"Tdegraded", "Tsvc", "Tlogin %user%",
+                           "Tnot json", "I2", "R0.5", "I4", "I1", "I1"});
   PatternStore store;
   ASSERT_TRUE(store.load(path.string()));
   fs::remove(path);
@@ -484,6 +506,189 @@ TEST(PatternStore, OpenFallsBackPastMistypedCell) {
   fs::remove_all(dir);
 }
 
+/// A damaged snapshot: its fixture label and its bytes.
+struct DamagedFile {
+  std::string what;
+  std::string text;
+};
+
+/// The loader tests' base file: three patterns in two services, with
+/// examples holding a tab, a quote and no escapes, and a non-ASCII and
+/// backslashed pattern text.
+std::string loader_base_snapshot() {
+  const fs::path path = temp_path("fuzz_base.db");
+  PatternStore store;
+  core::Pattern a = make_pattern("sshd", "login", 3);
+  a.examples = {"login 1", "login\t\"2\""};
+  store.upsert_pattern(a);
+  store.upsert_pattern(make_pattern("cron", "tick", 1));
+  core::Pattern c = make_pattern("cron", "t\xc3\xb6" "ck\\", 7);
+  c.examples = {"x"};
+  store.upsert_pattern(c);
+  EXPECT_TRUE(store.save(path.string()));
+  std::string text = read_file(path);
+  fs::remove(path);
+  return text;
+}
+
+/// Overwrites 1-3 bytes of `text` inside [from, to), each with a byte of
+/// the snapshot grammar or (one time in four) any byte.
+std::string mutate(std::string text, std::size_t from, std::size_t to,
+                   util::Rng& rng) {
+  static const std::string alphabet = "\t\n \"\\-0123456789NIRTerowlabc{}[]:,";
+  const int edits = 1 + static_cast<int>(rng.next_below(3));
+  for (int e = 0; e < edits; ++e) {
+    const std::size_t at = from + rng.next_below(to - from);
+    text[at] = rng.next_below(4) == 0
+                   ? static_cast<char>(rng.next_below(256))
+                   : alphabet[rng.next_below(alphabet.size())];
+  }
+  return text;
+}
+
+/// Every truncation of the base file, then 600 seeded mutations of it.
+std::vector<DamagedFile> damaged_base_files(const std::string& base) {
+  std::vector<DamagedFile> out;
+  for (std::size_t cut = 0; cut < base.size(); ++cut) {
+    out.push_back({"cut " + std::to_string(cut), base.substr(0, cut)});
+  }
+  util::Rng rng(0x5AFE);
+  for (int i = 0; i < 600; ++i) {
+    out.push_back({"mut " + std::to_string(i),
+                   mutate(base, 0, base.size(), rng)});
+  }
+  return out;
+}
+
+/// extra.db (tests/store/fixtures) with 600 seeded mutations inside its
+/// ignored `meta` table, then hand-picked edits of the loader's rules:
+/// the ignored table's arity, key range, duplicate keys and NULL cells,
+/// type words, tags, line prefixes, and a later table of the same name
+/// replacing an earlier one.
+std::vector<DamagedFile> damaged_extra_files() {
+  const std::string extra = read_file(kFixtures / "extra.db");
+  std::vector<DamagedFile> out;
+  const std::size_t from = extra.find("table meta");
+  const std::size_t to = extra.find("table patterns");
+  EXPECT_LT(from, to);
+  util::Rng rng(0xE87A);
+  for (int i = 0; i < 600; ++i) {
+    out.push_back({"extra " + std::to_string(i), mutate(extra, from, to, rng)});
+  }
+  const std::string patterns_table =
+      "table patterns 9 0\ncol pid TEXT\ncol service TEXT\ncol ptext TEXT\n"
+      "col tokens TEXT\ncol token_count INTEGER\ncol complexity REAL\n"
+      "col match_count INTEGER\ncol first_seen INTEGER\n"
+      "col last_matched INTEGER\n"
+      "row\tTp1\tTsvc\tTe %n%\tTnot json\tI2\tR0.5\tI1\tI2\tI3\nend\n";
+  // Each edit replaces the first occurrence of `from` (an empty `from`
+  // appends).
+  using Edits = std::vector<std::pair<std::string, std::string>>;
+  const std::vector<std::pair<std::string, Edits>> edits = {
+      {"key-past-last", {{"meta 4 0", "meta 4 4"}}},
+      {"keyless", {{"meta 4 0", "meta 4 -1"}}},
+      {"key-below-keyless", {{"meta 4 0", "meta 4 -7"}}},
+      {"key-not-a-number", {{"meta 4 0", "meta 4 x"}}},
+      {"patterns-key-not-a-number", {{"patterns 9 0", "patterns 9 x"}}},
+      {"patterns-ncols-ignored", {{"patterns 9 0", "patterns 12 0"}}},
+      {"duplicate-null-key", {{"meta 4 0", "meta 4 1"}, {"\tI-42\t", "\tN\t"}}},
+      {"distinct-int-key", {{"meta 4 0", "meta 4 1"}}},
+      {"duplicate-real-key", {{"meta 4 0", "meta 4 2"}, {"R-0.125", "R2.50"}}},
+      {"duplicate-text-key",
+       {{"\tT\xc3\xa9\t", "\tTkey\\u0009with \\\"tab\\\"\t"}}},
+      {"null-text-key", {{"meta 4 0", "meta 4 3"}}},
+      {"duplicate-pid",
+       {{"Tb2aeee175c19962f228c6e8eb06786e8f89b0d63\tTsvc",
+         "Tf4e53e2943afd27fe02b5f66f19c07c852d430b2\tTsvc"}}},
+      {"short-row", {{"\tN\tR-0.125", "\tR-0.125"}}},
+      {"long-row", {{"\tR2.5\tN\n", "\tR2.5\tN\tI1\n"}}},
+      {"empty-cell", {{"\tR2.5\tN\n", "\tR2.5\t\n"}}},
+      {"unknown-tag", {{"\tR2.5\tN\n", "\tR2.5\tX\n"}}},
+      {"null-with-body", {{"\tR2.5\tN\n", "\tR2.5\tNULL\n"}}},
+      {"empty-integer", {{"I-42", "I"}}},
+      {"spaced-integer", {{"I-42", "I -42"}}},
+      {"integer-trailing-garbage", {{"I-42", "I-42x"}}},
+      {"huge-integer", {{"I-42", "I99999999999999999999"}}},
+      {"real-nan", {{"R2.5", "Rnan"}}},
+      {"real-hex", {{"R2.5", "R0x1p1"}}},
+      {"real-garbage", {{"R2.5", "R2.5.1"}}},
+      {"text-raw-cr", {{"\tTx\\\\y\\n", "\tTx\ry"}}},
+      {"text-bad-escape", {{"\tTx\\\\y\\n", "\tTx\\qy"}}},
+      {"text-bare-quote", {{"\tTx\\\\y\\n", "\tTx\"y"}}},
+      {"text-short-unicode", {{"\tTx\\\\y\\n", "\tTx\\u12"}}},
+      {"text-surrogate", {{"\tTx\\\\y\\n", "\tT\\ud83d\\ude00"}}},
+      {"null-type-word", {{"col pid TEXT", "col pid NULL"}}},
+      {"unknown-type-word", {{"col ptext TEXT", "col ptext VARCHAR"}}},
+      {"meta-unknown-type-word", {{"col r REAL", "col r FLOAT"}}},
+      {"integer-as-real", {{"col seq INTEGER", "col seq REAL"}}},
+      {"mistyped-seq", {{"\tI1\tTlogin bob", "\tR1\tTlogin bob"}}},
+      {"null-example-message", {{"\tI0\tT12:00:00 anything\\rgoes", "\tI0\tN"}}},
+      {"orphan-example",
+       {{"Tb2aeee175c19962f228c6e8eb06786e8f89b0d63\tI1",
+         "Tb2aeee175c19962f228c6e8eb06786e8f89b0d64\tI1"}}},
+      {"seq-reordered", {{"\tI0\tTlogin 42", "\tI5\tTlogin 42"}}},
+      {"seq-tied", {{"\tI2\tTlogin eve", "\tI0\tTlogin eve"}}},
+      {"seq-negative", {{"\tI2\tTtab", "\tI-3\tTtab"}}},
+      {"row-prefix", {{"\nrow\tTkey", "\nrowing\tTkey"}}},
+      {"row-before-table", {{"seqrtgdb 1\n", "seqrtgdb 1\nrow\tTx\n"}}},
+      {"row-between-tables", {{"end\ntable meta", "end\nrow\tTx\ntable meta"}}},
+      {"col-before-table", {{"seqrtgdb 1\n", "seqrtgdb 1\ncol x TEXT\n"}}},
+      {"col-after-rows", {{"\tN\nrow\tT\xc3\xa9", "\tN\ncol z TEXT\nrow\tT\xc3\xa9"}}},
+      {"patterns-col-after-rows", {{"\tI31\n", "\tI31\ncol z TEXT\n"}}},
+      {"col-three-words", {{"col k TEXT", "col k TEXT x"}}},
+      {"table-five-words", {{"meta 4 0", "meta 4 0 x"}}},
+      {"missing-end", {{"\nend\ntable patterns", "\ntable patterns"}}},
+      {"missing-examples-end", {{"\nend\ntable meta", "\ntable meta"}}},
+      {"end-with-space", {{"\nend\n", "\nend \n"}}},
+      {"end-with-cr", {{"\nend\n", "\nend\r\n"}}},
+      {"blank-lines", {{"\nend\n", "\n\n\nend\n\n"}}},
+      {"bad-header", {{"seqrtgdb 1", "seqrtgdb 2"}}},
+      {"empty-table", {{"", "table z 0 -1\nend\n"}}},
+      {"empty-keyed-table", {{"", "table z 2 5\ncol a TEXT\ncol b TEXT\nend\n"}}},
+      {"zero-column-row", {{"", "table z 0 -1\nrow\nend\n"}}},
+      {"zero-column-keyed-row", {{"", "table z 0 0\nrow\nend\n"}}},
+      {"unterminated-table", {{"", "table z 1 -1\ncol a TEXT\n"}}},
+      {"later-meta-replaces", {{"", "table meta 1 0\ncol x TEXT\nrow\tTa\nend\n"}}},
+      {"later-patterns-replaces", {{"", patterns_table}}},
+      {"later-patterns-fixes-mistyped",
+       {{"col match_count INTEGER", "col match_count TEXT"}, {"", patterns_table}}},
+      {"later-examples-empties",
+       {{"", "table examples 3 -1\ncol pid TEXT\ncol seq INTEGER\n"
+             "col message TEXT\nend\n"}}},
+      {"mistyped-pid-replaced",
+       {{"Tb2aeee175c19962f228c6e8eb06786e8f89b0d63\tTsvc", "N\tTsvc"},
+        {"", patterns_table}}},
+      {"mistyped-pids-duplicate",
+       {{"Tb2aeee175c19962f228c6e8eb06786e8f89b0d63\tTsvc", "N\tTsvc"},
+        {"T7f3e2f123c6d9cc72cff071cdf2640a8616e7fcf\tTsvc", "N\tTsvc"},
+        {"", patterns_table}}},
+      {"mistyped-row-replaced",
+       {{"\tI6\tI0\tI5", "\tT6\tI0\tI5"}, {"", patterns_table}}},
+      {"duplicate-pid-after-mistyped-row",
+       {{"\tI6\tI0\tI5", "\tT6\tI0\tI5"},
+        {"Tf4e53e2943afd27fe02b5f66f19c07c852d430b2\tTna",
+         "Tb2aeee175c19962f228c6e8eb06786e8f89b0d63\tTna"},
+        {"", patterns_table}}},
+      {"later-patterns-bad-schema",
+       {{"", "table patterns 2 0\ncol pid TEXT\ncol service TEXT\nend\n"}}},
+      {"unknown-line", {{"", "tables\n"}}},
+  };
+  for (const auto& [name, list] : edits) {
+    std::string text = extra;
+    for (const auto& [old_text, new_text] : list) {
+      if (old_text.empty()) {
+        text += new_text;
+        continue;
+      }
+      const std::size_t at = text.find(old_text);
+      EXPECT_NE(at, std::string::npos) << name << ": " << old_text;
+      if (at != std::string::npos) text.replace(at, old_text.size(), new_text);
+    }
+    out.push_back({"edit " + name, text});
+  }
+  return out;
+}
+
 /// After load/open accepted a damaged file, every row the store counts is
 /// read: it decodes, or it is skipped and counted corrupt.
 void expect_every_row_read(PatternStore& store, const std::string& what) {
@@ -501,43 +706,9 @@ void expect_every_row_read(PatternStore& store, const std::string& what) {
 }
 
 TEST(PatternStore, DamagedSnapshotsNeverCrashTheLoader) {
-  const fs::path path = temp_path("fuzz_base.db");
-  {
-    PatternStore store;
-    core::Pattern a = make_pattern("sshd", "login", 3);
-    a.examples = {"login 1", "login\t\"2\""};
-    store.upsert_pattern(a);
-    store.upsert_pattern(make_pattern("cron", "tick", 1));
-    core::Pattern c = make_pattern("cron", "t\xc3\xb6" "ck\\", 7);
-    c.examples = {"x"};
-    store.upsert_pattern(c);
-    ASSERT_TRUE(store.save(path.string()));
-  }
-  const std::string base = read_file(path);
-  std::vector<std::pair<std::string, std::string>> damaged;
-  for (std::size_t cut = 0; cut < base.size(); ++cut) {
-    damaged.emplace_back("truncated at " + std::to_string(cut),
-                         base.substr(0, cut));
-  }
-  const std::string alphabet = "\t\n \"\\-0123456789NIRTerowlabc{}[]:,";
-  util::Rng rng(0x5AFE);
-  for (int i = 0; i < 600; ++i) {
-    std::string text = base;
-    std::string what = "mutated";
-    const int edits = 1 + static_cast<int>(rng.next_below(3));
-    for (int e = 0; e < edits; ++e) {
-      const std::size_t at = rng.next_below(text.size());
-      const char byte =
-          rng.next_below(4) == 0
-              ? static_cast<char>(rng.next_below(256))
-              : alphabet[rng.next_below(alphabet.size())];
-      text[at] = byte;
-      what += ' ' + std::to_string(at) + '=' +
-              std::to_string(static_cast<unsigned char>(byte));
-    }
-    damaged.emplace_back(what, text);
-  }
-
+  const fs::path path = temp_path("fuzz_damaged.db");
+  const std::vector<DamagedFile> damaged =
+      damaged_base_files(loader_base_snapshot());
   std::size_t accepted = 0;
   for (const auto& [what, text] : damaged) {
     write_file(path, text);
@@ -571,6 +742,91 @@ TEST(PatternStore, DamagedSnapshotsNeverCrashTheLoader) {
     }
   }
   fs::remove_all(dir);
+}
+
+/// The first 16 hex digits of SHA-1 over every field of every pattern as
+/// load_service returns it, plus the pattern count and the export order.
+std::string store_digest(PatternStore& store) {
+  std::ostringstream out;
+  out << store.pattern_count() << '\n';
+  for (const std::string& service : store.services()) {
+    out << "service " << service << '\n';
+    for (const core::Pattern& p : store.load_service(service)) {
+      out << p.service << '\t' << p.text() << '\t'
+          << pattern_tokens_to_json(p.tokens) << '\t' << p.stats.match_count
+          << '\t' << p.stats.first_seen << '\t' << p.stats.last_matched;
+      for (const std::string& e : p.examples) out << '\t' << e;
+      out << '\n';
+    }
+  }
+  PatternStore::ExportFilter all;
+  all.max_complexity = std::numeric_limits<double>::infinity();
+  for (const core::Pattern& p : store.export_patterns(all)) {
+    out << "export " << p.id() << ' ' << p.stats.match_count << '\n';
+  }
+  return util::sha1_hex(out.str()).substr(0, 16);
+}
+
+/// One line per damaged file: its label, load()'s verdict and the digest
+/// of what the store then reads; every 9th base file also goes through
+/// open() as a store's only snapshot generation.
+std::vector<std::string> loader_verdicts() {
+  const std::vector<DamagedFile> base =
+      damaged_base_files(loader_base_snapshot());
+  std::vector<DamagedFile> files = base;
+  for (DamagedFile& f : damaged_extra_files()) files.push_back(std::move(f));
+  std::vector<std::string> lines;
+  const fs::path path = temp_path("verdict.db");
+  for (const auto& [what, text] : files) {
+    write_file(path, text);
+    PatternStore store;
+    const bool ok = store.load(path.string());
+    lines.push_back(what + (ok ? " accept " : " reject ") +
+                    store_digest(store));
+  }
+  fs::remove(path);
+  const fs::path dir = temp_path("verdict_open");
+  for (std::size_t i = 0; i < base.size(); i += 9) {
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    write_file(dir / "snapshot-3.db", base[i].text);
+    PatternStore store;
+    const bool ok = store.open(dir.string());
+    lines.push_back("open " + base[i].what + (ok ? " seq=" : " failed seq=") +
+                    std::to_string(store.durability_stats().snapshot_seq) +
+                    ' ' + store_digest(store));
+  }
+  fs::remove_all(dir);
+  return lines;
+}
+
+TEST(PatternStore, LoaderVerdictsMatchFixture) {
+  // tests/store/fixtures/loader_verdicts.txt holds the verdicts of the
+  // loader this store had when it kept generic tables. On a mismatch (or
+  // with no fixture) the lines this loader produced are written next to
+  // the temp files for inspection.
+  const std::vector<std::string> actual = loader_verdicts();
+  std::vector<std::string> expected;
+  {
+    std::istringstream in(read_file(kFixtures / "loader_verdicts.txt"));
+    for (std::string line; std::getline(in, line);) expected.push_back(line);
+  }
+  std::size_t mismatches = 0;
+  for (std::size_t i = 0; i < std::max(actual.size(), expected.size()); ++i) {
+    const std::string a = i < actual.size() ? actual[i] : "(none)";
+    const std::string e = i < expected.size() ? expected[i] : "(none)";
+    if (a == e) continue;
+    if (++mismatches <= 20) ADD_FAILURE() << "line " << i + 1 << ": got " << a
+                                          << ", fixture " << e;
+  }
+  if (mismatches > 0) {
+    const fs::path out = temp_path("loader_verdicts.txt");
+    std::string text;
+    for (const std::string& line : actual) text += line + '\n';
+    write_file(out, text);
+    ADD_FAILURE() << mismatches << " mismatched lines; this loader's lines: "
+                  << out.string();
+  }
 }
 
 // --- match_patterns: the engine's per-flush read -------------------------
@@ -673,10 +929,12 @@ TEST(PatternStoreMatchRead, DamagedRowsReadLikeLoadService) {
   // A degraded row (broken JSON, parseable display text) and an
   // unrecoverable one, in two different mined services. Their pids sort
   // among the SHA-1 pids, so the order check covers them too.
-  plant_pattern_row(path, {"d0degraded", services[0], "login %user% from %ip%",
-                           "not json", 3, 0.6, 4, 1, 1});
-  plant_pattern_row(path, {"b0corrupt", services[1], "%unterminated",
-                           "{{{not json", 1, 0.0, 3, 1, 1});
+  plant_pattern_row(path, {"Td0degraded", 'T' + util::json_escape(services[0]),
+                           "Tlogin %user% from %ip%", "Tnot json", "I3",
+                           "R0.6", "I4", "I1", "I1"});
+  plant_pattern_row(path, {"Tb0corrupt", 'T' + util::json_escape(services[1]),
+                           "T%unterminated", "T{{{not json", "I1", "R0", "I3",
+                           "I1", "I1"});
   PatternStore store;
   ASSERT_TRUE(store.load(path.string()));
   fs::remove(path);
@@ -780,6 +1038,124 @@ TEST(PatternStoreMatchRead, EnginesEvolutionAndSpillsShareOneStore) {
     expect_match_read(matched, store.load_service(service), service);
   }
   store.attach_governor(nullptr);
+  fs::remove_all(dir);
+}
+
+// --- typed rows ------------------------------------------------------------
+
+core::Pattern literal_pattern(std::string service, std::string text,
+                              std::uint64_t count) {
+  core::Pattern p;
+  p.service = std::move(service);
+  core::PatternToken t;
+  t.text = text;
+  p.tokens = {t};
+  p.stats.match_count = count;
+  p.examples = {std::move(text)};
+  return p;
+}
+
+/// The snapshot checkpoint() last wrote in `store`'s directory.
+std::string checkpoint_bytes(PatternStore& store) {
+  EXPECT_TRUE(store.checkpoint());
+  return read_file(fs::path(store.directory()) /
+                   ("snapshot-" +
+                    std::to_string(store.durability_stats().snapshot_seq) +
+                    ".db"));
+}
+
+TEST(PatternStore, SpillReloadChurnKeepsOnlyLiveRows) {
+  // Two stores get the same mined fleet, then the same last service,
+  // upserted in pid order (the order a reload inserts it in). One spills
+  // and reloads that service 50 times: its reads, its export and its
+  // checkpoint bytes must stay those of the store that never spilled, and
+  // it must hold exactly its live rows.
+  std::vector<core::Pattern> last;
+  for (const char* word : {"alpha", "beta", "gamma", "delta", "epsilon"}) {
+    last.push_back(make_pattern("zz-last", word, 2));
+    last.back().examples = {std::string(word) + " 1", std::string(word) + " 2"};
+  }
+  std::sort(last.begin(), last.end(),
+            [](const core::Pattern& a, const core::Pattern& b) {
+              return a.id() < b.id();
+            });
+  const auto build = [&](PatternStore& store, const fs::path& dir) {
+    fs::remove_all(dir);
+    ASSERT_TRUE(store.open(dir.string()));
+    mine_fleet(store);
+    for (const core::Pattern& p : last) store.upsert_pattern(p);
+  };
+  const fs::path still_dir = temp_path("churn_still");
+  const fs::path churned_dir = temp_path("churn");
+  PatternStore still;
+  PatternStore churned;
+  build(still, still_dir);
+  build(churned, churned_dir);
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    ASSERT_TRUE(churned.spill_partition("zz-last")) << cycle;
+    ASSERT_EQ(churned.load_service("zz-last").size(), last.size()) << cycle;
+  }
+
+  EXPECT_EQ(store_digest(churned), store_digest(still));
+  EXPECT_EQ(churned.services(), still.services());
+  PatternStore::ExportFilter last_only;
+  last_only.service = "zz-last";
+  for (const auto& filter : {PatternStore::ExportFilter{}, last_only}) {
+    const std::vector<core::Pattern> a = churned.export_patterns(filter);
+    const std::vector<core::Pattern> b = still.export_patterns(filter);
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i].id(), b[i].id()) << i;
+      EXPECT_EQ(a[i].examples, b[i].examples) << i;
+    }
+  }
+  EXPECT_EQ(checkpoint_bytes(churned), checkpoint_bytes(still));
+  EXPECT_EQ(PatternStoreTestAccess::rows(churned), churned.pattern_count());
+  EXPECT_EQ(PatternStoreTestAccess::indexed_rows(churned),
+            churned.pattern_count());
+  fs::remove_all(still_dir);
+  fs::remove_all(churned_dir);
+}
+
+TEST(PatternStore, SharedPidMergesIntoTheFirstRow) {
+  // Pattern::id() hashes text and service with no separator, so text
+  // "ab" in service "c" and text "a" in service "bc" share a pid. The
+  // second upsert merges into the first row and is charged to its service.
+  const core::Pattern first = literal_pattern("c", "ab", 2);
+  const core::Pattern second = literal_pattern("bc", "a", 3);
+  ASSERT_EQ(first.id(), second.id());
+  const fs::path dir = temp_path("shared_pid");
+  fs::remove_all(dir);
+  std::string digest;
+  {
+    PatternStore store;
+    ASSERT_TRUE(store.open(dir.string()));
+    core::MemoryAccountant accountant;
+    core::GovernorPolicy policy;
+    policy.ceiling_bytes = std::size_t{1} << 30;
+    core::Governor governor(policy, &accountant);
+    store.attach_governor(&governor);
+    store.upsert_pattern(first);
+    store.upsert_pattern(second);
+    EXPECT_EQ(store.pattern_count(), 1u);
+    EXPECT_EQ(store.services(), (std::vector<std::string>{"c"}));
+    const auto found = store.find(first.id());
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(found->service, "c");
+    EXPECT_EQ(found->text(), "ab");
+    EXPECT_EQ(found->stats.match_count, 5u);
+    EXPECT_EQ(found->examples, (std::vector<std::string>{"ab", "a"}));
+    EXPECT_FALSE(
+        accountant.audit(store.recount_partition_bytes()).has_value());
+    ASSERT_TRUE(store.checkpoint());
+    digest = store_digest(store);
+    store.attach_governor(nullptr);
+  }
+  PatternStore reopened;
+  ASSERT_TRUE(reopened.open(dir.string()));
+  EXPECT_GT(reopened.durability_stats().snapshot_seq, 0u);
+  EXPECT_EQ(reopened.pattern_count(), 1u);
+  EXPECT_EQ(store_digest(reopened), digest);
   fs::remove_all(dir);
 }
 
