@@ -51,10 +51,15 @@ fi
 # snapshot reader (snapshot_test and store_golden_test load typed rows
 # from bytes read back from disk, and pattern_store_test replays the
 # damaged-snapshot verdict fixture, so ASan/UBSan check the cell decoding
-# and the row building on every rule the loader enforces).
+# and the row building on every rule the loader enforces), and the
+# loopback listener every serve front end shares (listener_test runs its
+# accept thread, per-connection threads joined as they end, and stop()
+# shutting down connections parked in read(), so TSan checks the
+# connection registry and ASan the line reader's buffer at its cap).
 [ $# -gt 0 ] || set -- metrics_test thread_pool_test analyze_by_service_test \
   arena_test interner_test scan_into_equivalence_test wal_test \
   pattern_store_test bounded_queue_test serve_test serve_drain_test \
+  listener_test \
   ingest_fuzz_test golden_corpus_test edge_map_property_test \
   fault_sim_test differential_test simd_equivalence_test matchprog_test \
   evolution_test validation_test cluster_test cluster_proto_fuzz_test \

@@ -1,17 +1,10 @@
 #include "serve/cluster.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
-#include <sys/socket.h>
 #include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 
 #include "obs/eventlog.hpp"
 #include "obs/metrics.hpp"
-#include "util/signal.hpp"
 
 namespace seqrtg::serve {
 
@@ -43,34 +36,15 @@ ClusterMetrics& cluster_metrics() {
 bool ClusterClient::connect(int port, std::uint8_t role,
                             const std::string& node_id) {
   close();
-  fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (fd_ < 0) return false;
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr),
-                sizeof addr) != 0) {
-    close();
-    return false;
-  }
+  fd_ = connect_loopback(port, 0);
   return send(cluster_stream_header() + encode_hello(role, node_id));
 }
 
 bool ClusterClient::send(std::string_view bytes) {
   if (fd_ < 0) return false;
-  std::size_t off = 0;
-  while (off < bytes.size()) {
-    const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      close();
-      return false;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  return true;
+  if (send_all(fd_, bytes)) return true;
+  close();
+  return false;
 }
 
 bool ClusterClient::peer_dead() {
@@ -97,30 +71,10 @@ ClusterNode::~ClusterNode() {
 bool ClusterNode::start(std::string* error) {
   if (!server_.start(error)) return false;
 
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    if (error != nullptr) *error = "socket: " + std::string(strerror(errno));
+  if (!listener_.bind(opts_.cluster_port, error)) {
     server_.stop();
     return false;
   }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(opts_.cluster_port));
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-          0 ||
-      ::listen(listen_fd_, 16) != 0) {
-    if (error != nullptr) *error = "bind: " + std::string(strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    server_.stop();
-    return false;
-  }
-  socklen_t len = sizeof addr;
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  cluster_port_ = ntohs(addr.sin_port);
 
   if (opts_.ship_to >= 0) {
     if (!shipper_.connect(opts_.ship_to, kPeerShipper, opts_.node_id)) {
@@ -128,8 +82,7 @@ bool ClusterNode::start(std::string* error) {
         *error = "standby connect to port " + std::to_string(opts_.ship_to) +
                  " failed";
       }
-      ::close(listen_fd_);
-      listen_fd_ = -1;
+      listener_.stop();
       server_.stop();
       return false;
     }
@@ -141,32 +94,13 @@ bool ClusterNode::start(std::string* error) {
     });
   }
 
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  listener_.start([this](int fd) { connection_loop(fd); });
   started_.store(true, std::memory_order_relaxed);
   obs::logev(obs::LogLevel::kInfo, "cluster", "node_start",
              {{"node", opts_.node_id},
-              {"cluster_port", static_cast<std::int64_t>(cluster_port_)},
+              {"cluster_port", static_cast<std::int64_t>(cluster_port())},
               {"ship_to", static_cast<std::int64_t>(opts_.ship_to)}});
   return true;
-}
-
-void ClusterNode::accept_loop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0},
-                     {util::shutdown_fd(), POLLIN, 0}};
-    const int rc = ::poll(fds, 2, 200);
-    if (rc < 0 && errno != EINTR) return;
-    if (stopping_.load(std::memory_order_relaxed) ||
-        util::shutdown_requested()) {
-      return;
-    }
-    if (rc <= 0 || (fds[0].revents & POLLIN) == 0) continue;
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) continue;
-    std::lock_guard lock(conn_mutex_);
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { connection_loop(fd); });
-  }
 }
 
 void ClusterNode::count_malformed(int fd, const std::string& error) {
@@ -181,28 +115,11 @@ void ClusterNode::count_malformed(int fd, const std::string& error) {
 void ClusterNode::connection_loop(int fd) {
   ClusterFrameDecoder decoder;
   std::vector<ClusterFrame> frames;
-  char chunk[65536];
-  bool open = true;
-  bool clean_eof = false;
-  while (open) {
-    const ssize_t n = ::read(fd, chunk, sizeof chunk);
-    if (n < 0) {
-      if (errno == EINTR && !stopping_.load(std::memory_order_relaxed)) {
-        continue;
-      }
-      break;
-    }
-    if (n == 0) {
-      clean_eof = true;
-      break;
-    }
+  const bool clean_eof = read_chunks(fd, [&](std::string_view bytes) {
     frames.clear();
-    if (!decoder.feed(std::string_view(chunk, static_cast<std::size_t>(n)),
-                      &frames)) {
-      // Poisoned: apply the frames decoded before the violation, then
-      // drop the connection — exactly one malformed count per stream.
-      open = false;
-    }
+    // Poisoned: apply the frames decoded before the violation, then drop
+    // the connection — exactly one malformed count per stream.
+    bool open = decoder.feed(bytes, &frames);
     for (const ClusterFrame& frame : frames) {
       switch (frame.type) {
         case ClusterFrameType::kRecord:
@@ -231,18 +148,14 @@ void ClusterNode::connection_loop(int fd) {
       notify();
     }
     if (decoder.poisoned()) count_malformed(fd, decoder.error());
-  }
+    return open;
+  });
   // A clean close mid-frame is a truncation the CRC never saw.
   if (clean_eof && !decoder.poisoned() && decoder.pending_bytes() > 0) {
     count_malformed(fd, "EOF inside a frame (" +
                             std::to_string(decoder.pending_bytes()) +
                             " pending bytes)");
   }
-  {
-    std::lock_guard lock(conn_mutex_);
-    std::erase(conn_fds_, fd);
-  }
-  ::close(fd);
 }
 
 void ClusterNode::ship_group(std::uint64_t seq, std::string_view ops) {
@@ -276,21 +189,9 @@ void ClusterNode::ship_group(std::uint64_t seq, std::string_view ops) {
 
 ServeReport ClusterNode::stop() {
   if (stopped_) return final_report_;
-  stopping_.store(true, std::memory_order_relaxed);
 
   // 1. Cluster listener and connections first — no new frames.
-  if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    std::lock_guard lock(conn_mutex_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  for (std::thread& t : conn_threads_) {
-    if (t.joinable()) t.join();
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  listener_.stop();
 
   // 2. Drain the server; its final flushes still commit, and every commit
   //    still ships through the sink.

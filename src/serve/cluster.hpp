@@ -32,10 +32,9 @@
 #include <functional>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "serve/cluster_proto.hpp"
+#include "serve/net.hpp"
 #include "serve/server.hpp"
 
 namespace seqrtg::serve {
@@ -115,7 +114,7 @@ class ClusterNode {
   /// flushes still ship through the sink), then the shipper link.
   ServeReport stop();
 
-  int cluster_port() const { return cluster_port_; }
+  int cluster_port() const { return listener_.port(); }
   Server& server() { return server_; }
 
   ClusterNodeStats stats() const;
@@ -128,7 +127,6 @@ class ClusterNode {
                       std::chrono::milliseconds(10000)) const;
 
  private:
-  void accept_loop();
   void connection_loop(int fd);
   void ship_group(std::uint64_t seq, std::string_view ops);
   void count_malformed(int fd, const std::string& error);
@@ -138,18 +136,10 @@ class ClusterNode {
   ClusterNodeOptions opts_;
   Server server_;
 
-  int listen_fd_ = -1;
-  int cluster_port_ = 0;
-  std::thread accept_thread_;
-  std::mutex conn_mutex_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
-
   ClusterClient shipper_;
   std::mutex ship_mutex_;
 
   std::atomic<bool> started_{false};
-  std::atomic<bool> stopping_{false};
   bool stopped_ = false;
   ServeReport final_report_;
   std::atomic<std::uint64_t> records_{0};
@@ -162,6 +152,8 @@ class ClusterNode {
   std::atomic<bool> ship_wedged_{false};
   mutable std::mutex progress_mutex_;
   mutable std::condition_variable progress_cv_;
+  /// Declared last: its connection threads use the members above.
+  Listener listener_;
 };
 
 }  // namespace seqrtg::serve

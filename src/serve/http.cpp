@@ -1,14 +1,7 @@
 #include "serve/http.hpp"
 
-#include <arpa/inet.h>
-#include <fcntl.h>
-#include <netinet/in.h>
-#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
 
 namespace seqrtg::serve {
 
@@ -22,19 +15,6 @@ const char* status_text(int status) {
     case 405: return "Method Not Allowed";
     case 503: return "Service Unavailable";
     default: return "Internal Server Error";
-  }
-}
-
-/// Writes the whole buffer, retrying on partial writes / EINTR.
-void write_all(int fd, const std::string& data) {
-  std::size_t off = 0;
-  while (off < data.size()) {
-    const ssize_t n = ::write(fd, data.data() + off, data.size() - off);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    off += static_cast<std::size_t>(n);
   }
 }
 
@@ -68,95 +48,22 @@ std::string render_response(const HttpResponse& response) {
 
 bool HttpResponder::start(int port, std::string* error) {
   stop();
-  stopping_.store(false, std::memory_order_relaxed);
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-  if (listen_fd_ < 0) {
-    if (error != nullptr) *error = "socket: " + std::string(strerror(errno));
-    return false;
-  }
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-          0 ||
-      ::listen(listen_fd_, 16) != 0) {
-    if (error != nullptr) *error = "bind: " + std::string(strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  socklen_t len = sizeof addr;
-  ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  port_ = ntohs(addr.sin_port);
-  if (::pipe(wake_fd_) != 0) {
-    if (error != nullptr) *error = "pipe: " + std::string(strerror(errno));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-  thread_ = std::thread([this] { loop(); });
+  if (!listener_.bind(port, error)) return false;
+  listener_.start([this](int fd) { handle_connection(fd); });
   return true;
-}
-
-void HttpResponder::stop() {
-  if (listen_fd_ < 0) return;
-  stopping_.store(true, std::memory_order_relaxed);
-  const char byte = 1;
-  [[maybe_unused]] ssize_t n = ::write(wake_fd_[1], &byte, 1);
-  if (thread_.joinable()) thread_.join();
-  ::close(listen_fd_);
-  ::close(wake_fd_[0]);
-  ::close(wake_fd_[1]);
-  listen_fd_ = -1;
-  wake_fd_[0] = wake_fd_[1] = -1;
-  port_ = 0;
-}
-
-void HttpResponder::loop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_fd_[0], POLLIN, 0}};
-    const int rc = ::poll(fds, 2, -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    if (stopping_.load(std::memory_order_relaxed)) return;
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) continue;
-    handle_connection(fd);
-  }
 }
 
 std::optional<std::string> http_get(int port, const std::string& target,
                                     int timeout_ms) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  const int fd = connect_loopback(port, timeout_ms);
   if (fd < 0) return std::nullopt;
-  timeval tv = {timeout_ms / 1000, (timeout_ms % 1000) * 1000};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
-  sockaddr_in addr = {};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) !=
-      0) {
-    ::close(fd);
-    return std::nullopt;
-  }
-  write_all(fd, "GET " + target + " HTTP/1.0\r\n\r\n");
+  send_all(fd, "GET " + target + " HTTP/1.0\r\n\r\n");
   std::string response;
-  char buf[4096];
   // The responder speaks HTTP/1.0 with Connection: close — read to EOF.
-  while (response.size() < 8 * 1024 * 1024) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    response.append(buf, static_cast<std::size_t>(n));
-  }
+  read_chunks(fd, [&](std::string_view bytes) {
+    response.append(bytes);
+    return response.size() < 8 * 1024 * 1024;
+  });
   ::close(fd);
   if (response.rfind("HTTP/1.0 200", 0) != 0 &&
       response.rfind("HTTP/1.1 200", 0) != 0) {
@@ -168,21 +75,16 @@ std::optional<std::string> http_get(int port, const std::string& target,
 }
 
 void HttpResponder::handle_connection(int fd) {
-  // Scrapers send tiny requests; bound the read and give up after 2s so a
-  // stuck client cannot wedge the responder.
+  // Scrapers send tiny requests; give up on a silent client after 2 s so
+  // it cannot hold its thread.
   timeval tv = {2, 0};
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
   std::string request;
-  char buf[2048];
-  while (request.size() < 16 * 1024 &&
-         request.find("\r\n\r\n") == std::string::npos) {
-    const ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      break;
-    }
-    request.append(buf, static_cast<std::size_t>(n));
-  }
+  read_chunks(fd, [&](std::string_view bytes) {
+    request.append(bytes);
+    return request.size() < 16 * 1024 &&
+           request.find("\r\n\r\n") == std::string::npos;
+  });
 
   HttpResponse response;
   std::string method;
@@ -196,8 +98,7 @@ void HttpResponder::handle_connection(int fd) {
   } else {
     response = handler_(path);
   }
-  write_all(fd, render_response(response));
-  ::close(fd);
+  send_all(fd, render_response(response));
 }
 
 }  // namespace seqrtg::serve

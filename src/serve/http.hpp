@@ -4,17 +4,18 @@
 //   GET /metrics        — Prometheus text exposition of the process registry
 //   GET /healthz        — JSON liveness document
 //   GET /debug/...      — live introspection (lanes, patterns, trace)
-// One short-lived connection at a time, no keep-alive, no TLS; the socket
-// binds to 127.0.0.1 only (scrape through a localhost agent, never exposed).
+// Each request is answered on its own thread (serve/net's Listener), one
+// request per connection, no keep-alive, no TLS; the socket binds to
+// 127.0.0.1 only (scrape through a localhost agent, never exposed).
 // Routing is injected as a callback so the responder stays testable without
 // a Server instance.
 #pragma once
 
-#include <atomic>
 #include <functional>
 #include <optional>
 #include <string>
-#include <thread>
+
+#include "serve/net.hpp"
 
 namespace seqrtg::serve {
 
@@ -32,7 +33,6 @@ class HttpResponder {
  public:
   explicit HttpResponder(HttpHandler handler)
       : handler_(std::move(handler)) {}
-  ~HttpResponder() { stop(); }
   HttpResponder(const HttpResponder&) = delete;
   HttpResponder& operator=(const HttpResponder&) = delete;
 
@@ -41,23 +41,16 @@ class HttpResponder {
   bool start(int port, std::string* error = nullptr);
 
   /// Port actually bound (useful with port 0); 0 when not running.
-  int port() const { return port_; }
+  int port() const { return listener_.port(); }
 
-  /// Closes the listener and joins the accept thread. Idempotent.
-  void stop();
+  /// Closes the listener and joins every request thread. Idempotent.
+  void stop() { listener_.stop(); }
 
  private:
-  void loop();
   void handle_connection(int fd);
 
   HttpHandler handler_;
-  int listen_fd_ = -1;
-  int port_ = 0;
-  // Written by stop() (any thread), read by the accept loop.
-  std::atomic<bool> stopping_{false};
-  // Wake pipe for the poll()ing accept loop.
-  int wake_fd_[2] = {-1, -1};
-  std::thread thread_;
+  Listener listener_;
 };
 
 /// Parses the request line of `request` ("GET /metrics HTTP/1.1...") into

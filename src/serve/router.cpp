@@ -1,17 +1,9 @@
 #include "serve/router.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <set>
 
@@ -19,7 +11,6 @@
 #include "obs/exposition.hpp"
 #include "obs/metrics.hpp"
 #include "util/json.hpp"
-#include "util/signal.hpp"
 #include "util/strings.hpp"
 
 namespace seqrtg::serve {
@@ -188,47 +179,25 @@ bool Router::start(std::string* error) {
     }
   }
 
-  if (opts_.port >= 0) {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) {
-      if (error != nullptr) *error = "socket: " + std::string(strerror(errno));
-      links_.clear();
-      return false;
-    }
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr = {};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(opts_.port));
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
-            0 ||
-        ::listen(listen_fd_, 64) != 0) {
-      if (error != nullptr) *error = "bind: " + std::string(strerror(errno));
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      links_.clear();
-      return false;
-    }
-    socklen_t len = sizeof addr;
-    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-    ingest_port_ = ntohs(addr.sin_port);
-    accept_thread_ = std::thread([this] { accept_loop(); });
-  }
-
-  if (opts_.http_port >= 0 && !http_.start(opts_.http_port, error)) {
-    stopping_.store(true, std::memory_order_relaxed);
-    if (accept_thread_.joinable()) accept_thread_.join();
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    listen_fd_ = -1;
+  if ((opts_.port >= 0 && !ingest_.bind(opts_.port, error)) ||
+      (opts_.http_port >= 0 && !http_.start(opts_.http_port, error))) {
+    ingest_.stop();
     links_.clear();
     return false;
+  }
+  if (opts_.port >= 0) {
+    ingest_.start([this](int fd) {
+      core::IngestStats stats;
+      read_lines(
+          fd, [&](std::string_view line) { return ingest_line(line, stats); },
+          [this] { note_malformed(); });
+    });
   }
 
   started_.store(true, std::memory_order_relaxed);
   obs::logev(obs::LogLevel::kInfo, "router", "start",
              {{"shards", opts_.shards.size()},
-              {"ingest_port", static_cast<std::int64_t>(ingest_port_)},
+              {"ingest_port", static_cast<std::int64_t>(ingest_port())},
               {"http_port", static_cast<std::int64_t>(http_.port())}});
   return true;
 }
@@ -272,14 +241,16 @@ bool Router::ingest_line(std::string_view line, core::IngestStats& stats) {
   if (stopping_.load(std::memory_order_relaxed)) return false;
   auto record = core::JsonStreamIngester::parse_and_count_line(line, stats);
   if (!record.has_value()) {
-    if (!util::trim(line).empty()) {
-      malformed_.fetch_add(1, std::memory_order_relaxed);
-      if (obs::telemetry_enabled()) router_metrics().malformed.inc();
-    }
+    if (!util::trim(line).empty()) note_malformed();
     return true;
   }
   route_record(*record);
   return true;
+}
+
+void Router::note_malformed() {
+  malformed_.fetch_add(1, std::memory_order_relaxed);
+  if (obs::telemetry_enabled()) router_metrics().malformed.inc();
 }
 
 void Router::feed(std::istream& in) {
@@ -291,76 +262,10 @@ void Router::feed(std::istream& in) {
   }
 }
 
-void Router::accept_loop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0},
-                     {util::shutdown_fd(), POLLIN, 0}};
-    const int rc = ::poll(fds, 2, 200);
-    if (rc < 0 && errno != EINTR) return;
-    if (stopping_.load(std::memory_order_relaxed) ||
-        util::shutdown_requested()) {
-      return;
-    }
-    if (rc <= 0 || (fds[0].revents & POLLIN) == 0) continue;
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) continue;
-    std::lock_guard lock(conn_mutex_);
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { connection_loop(fd); });
-  }
-}
-
-void Router::connection_loop(int fd) {
-  core::IngestStats stats;
-  std::string buffer;
-  char chunk[65536];
-  bool open = true;
-  while (open) {
-    const ssize_t n = ::read(fd, chunk, sizeof chunk);
-    if (n < 0) {
-      if (errno == EINTR && !stopping_.load(std::memory_order_relaxed)) {
-        continue;
-      }
-      break;
-    }
-    if (n == 0) break;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t eol = buffer.find('\n', start);
-         eol != std::string::npos; eol = buffer.find('\n', start)) {
-      if (!ingest_line(
-              std::string_view(buffer).substr(start, eol - start), stats)) {
-        open = false;
-        break;
-      }
-      start = eol + 1;
-    }
-    buffer.erase(0, start);
-  }
-  if (open && !buffer.empty()) ingest_line(buffer, stats);
-  {
-    std::lock_guard lock(conn_mutex_);
-    std::erase(conn_fds_, fd);
-  }
-  ::close(fd);
-}
-
 RouterReport Router::stop() {
   if (stopped_) return final_report_;
   stopping_.store(true, std::memory_order_relaxed);
-
-  if (accept_thread_.joinable()) accept_thread_.join();
-  {
-    std::lock_guard lock(conn_mutex_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  for (std::thread& t : conn_threads_) {
-    if (t.joinable()) t.join();
-  }
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  ingest_.stop();
 
   RouterReport report;
   report.forwarded = forwarded_.load(std::memory_order_relaxed);

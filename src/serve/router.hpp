@@ -27,12 +27,12 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/ingest.hpp"
 #include "serve/cluster.hpp"
 #include "serve/http.hpp"
+#include "serve/net.hpp"
 #include "serve/ring.hpp"
 
 namespace seqrtg::serve {
@@ -85,7 +85,7 @@ class Router {
   /// socket cannot be bound.
   bool start(std::string* error = nullptr);
 
-  int ingest_port() const { return ingest_port_; }
+  int ingest_port() const { return ingest_.port(); }
   int http_port() const { return http_.port(); }
 
   /// Blocking stdin-pipe reader on the caller's thread (same contract as
@@ -126,9 +126,8 @@ class Router {
     std::atomic<std::uint64_t> forwarded{0};
   };
 
-  void accept_loop();
-  void connection_loop(int fd);
   bool ingest_line(std::string_view line, core::IngestStats& stats);
+  void note_malformed();
   /// Switches `link` to its standby (once, latched). Caller holds
   /// link.mutex. False marks the shard dead.
   bool promote(ShardLink& link, std::size_t shard);
@@ -137,13 +136,6 @@ class Router {
   HashRing ring_;
   std::vector<std::unique_ptr<ShardLink>> links_;
   HttpResponder http_;
-
-  int listen_fd_ = -1;
-  int ingest_port_ = 0;
-  std::thread accept_thread_;
-  std::mutex conn_mutex_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
 
   std::atomic<bool> started_{false};
   std::atomic<bool> stopping_{false};
@@ -154,6 +146,8 @@ class Router {
   std::atomic<std::uint64_t> failovers_{0};
   std::atomic<std::uint64_t> undeliverable_{0};
   std::atomic<std::uint64_t> route_index_{0};
+  /// Declared last: its connection threads use the members above.
+  Listener ingest_;
 };
 
 /// Sums Prometheus text expositions: counters/gauges with the same

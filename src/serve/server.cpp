@@ -1,18 +1,11 @@
 #include "serve/server.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <ctime>
 #include <fstream>
 #include <functional>
@@ -26,7 +19,6 @@
 #include "obs/trace.hpp"
 #include "util/cpuid.hpp"
 #include "util/json.hpp"
-#include "util/signal.hpp"
 #include "util/strings.hpp"
 
 namespace seqrtg::serve {
@@ -152,36 +144,9 @@ bool Server::start(std::string* error) {
     }
   }
 
-  if (opts_.port >= 0) {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-    if (listen_fd_ < 0) {
-      if (error != nullptr) *error = "socket: " + std::string(strerror(errno));
-      lanes_.clear();
-      return false;
-    }
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr = {};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(opts_.port));
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-               sizeof addr) != 0 ||
-        ::listen(listen_fd_, 64) != 0) {
-      if (error != nullptr) *error = "bind: " + std::string(strerror(errno));
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      lanes_.clear();
-      return false;
-    }
-    socklen_t len = sizeof addr;
-    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-    ingest_port_ = ntohs(addr.sin_port);
-  }
-
-  if (opts_.http_port >= 0 && !http_.start(opts_.http_port, error)) {
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-    listen_fd_ = -1;
+  if ((opts_.port >= 0 && !ingest_.bind(opts_.port, error)) ||
+      (opts_.http_port >= 0 && !http_.start(opts_.http_port, error))) {
+    ingest_.stop();
     lanes_.clear();
     return false;
   }
@@ -198,8 +163,8 @@ bool Server::start(std::string* error) {
   for (std::size_t i = 0; i < lanes_.size(); ++i) {
     lanes_[i]->worker = std::thread([this, i] { lane_loop(i); });
   }
-  if (listen_fd_ >= 0) {
-    accept_thread_ = std::thread([this] { accept_loop(); });
+  if (opts_.port >= 0) {
+    ingest_.start([this](int fd) { connection_loop(fd); });
   }
   if (opts_.checkpoint_interval_s > 0.0 && store_->durable()) {
     checkpoint_thread_ = std::thread([this] { checkpoint_loop(); });
@@ -211,7 +176,7 @@ bool Server::start(std::string* error) {
   obs::logev(obs::LogLevel::kInfo, "serve", "start",
              {{"build", obs::build_info_string()},
               {"lanes", lanes_.size()},
-              {"ingest_port", static_cast<std::int64_t>(ingest_port_)},
+              {"ingest_port", static_cast<std::int64_t>(ingest_port())},
               {"http_port", static_cast<std::int64_t>(http_.port())},
               {"durable", store_->durable()}});
   return true;
@@ -221,13 +186,15 @@ bool Server::ingest_line(std::string_view line, core::IngestStats& stats) {
   if (stopping_.load(std::memory_order_relaxed)) return false;
   auto record = core::JsonStreamIngester::parse_and_count_line(line, stats);
   if (!record.has_value()) {
-    if (!util::trim(line).empty()) {
-      malformed_.fetch_add(1, std::memory_order_relaxed);
-      notify_progress();
-    }
+    if (!util::trim(line).empty()) note_malformed();
     return true;
   }
   return ingest_record(std::move(*record));
+}
+
+void Server::note_malformed() {
+  malformed_.fetch_add(1, std::memory_order_relaxed);
+  notify_progress();
 }
 
 bool Server::ingest_record(core::LogRecord record) {
@@ -288,65 +255,13 @@ void Server::feed(std::istream& in) {
   }
 }
 
-void Server::accept_loop() {
-  // shutdown_fd() is -1 unless the caller installed the handlers; poll
-  // ignores negative fds, so the loop degrades to the 200ms tick.
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0},
-                     {util::shutdown_fd(), POLLIN, 0}};
-    const int rc = ::poll(fds, 2, 200);
-    if (rc < 0 && errno != EINTR) return;
-    if (stopping_.load(std::memory_order_relaxed) ||
-        util::shutdown_requested()) {
-      return;
-    }
-    if (rc <= 0 || (fds[0].revents & POLLIN) == 0) continue;
-    const int fd = ::accept4(listen_fd_, nullptr, nullptr, SOCK_CLOEXEC);
-    if (fd < 0) continue;
-    connections_.fetch_add(1, std::memory_order_relaxed);
-    if (obs::telemetry_enabled()) serve_metrics().connections.inc();
-    std::lock_guard lock(conn_mutex_);
-    conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { connection_loop(fd); });
-  }
-}
-
 void Server::connection_loop(int fd) {
+  connections_.fetch_add(1, std::memory_order_relaxed);
+  if (obs::telemetry_enabled()) serve_metrics().connections.inc();
   core::IngestStats stats;
-  std::string buffer;
-  char chunk[65536];
-  bool open = true;
-  while (open) {
-    const ssize_t n = ::read(fd, chunk, sizeof chunk);
-    if (n < 0) {
-      if (errno == EINTR && !stopping_.load(std::memory_order_relaxed)) {
-        continue;
-      }
-      break;
-    }
-    if (n == 0) break;  // client closed (or stop() shut the socket down)
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    std::size_t start = 0;
-    for (std::size_t eol = buffer.find('\n', start);
-         eol != std::string::npos; eol = buffer.find('\n', start)) {
-      if (!ingest_line(
-              std::string_view(buffer).substr(start, eol - start), stats)) {
-        open = false;
-        break;
-      }
-      start = eol + 1;
-    }
-    buffer.erase(0, start);
-  }
-  // A final line without a trailing newline still counts.
-  if (open && !buffer.empty()) ingest_line(buffer, stats);
-  // Deregister before closing so stop() never shutdown()s a recycled fd
-  // number that now belongs to someone else.
-  {
-    std::lock_guard lock(conn_mutex_);
-    std::erase(conn_fds_, fd);
-  }
-  ::close(fd);
+  read_lines(
+      fd, [&](std::string_view line) { return ingest_line(line, stats); },
+      [this] { note_malformed(); });
 }
 
 void Server::lane_loop(std::size_t index) {
@@ -620,19 +535,11 @@ ServeReport Server::stop() {
   obs::logev(obs::LogLevel::kInfo, "serve", "drain_start");
   request_stop();
 
-  // 1. No new connections: join the accept loop (it polls `stopping_`).
-  if (accept_thread_.joinable()) accept_thread_.join();
-
-  // 2. Wake connection readers blocked in read() and join them. Readers
-  //    may still be parked in a blocking push — the lanes keep consuming
-  //    below us until the queues close, so those pushes complete first.
-  {
-    std::lock_guard lock(conn_mutex_);
-    for (const int fd : conn_fds_) ::shutdown(fd, SHUT_RDWR);
-  }
-  for (std::thread& t : conn_threads_) {
-    if (t.joinable()) t.join();
-  }
+  // 1. No new connections. 2. Wake connection readers blocked in read()
+  //    and join them. Readers may still be parked in a blocking push — the
+  //    lanes keep consuming below us until the queues close, so those
+  //    pushes complete first.
+  ingest_.stop();
 
   // 3. Close the queues; each worker drains its backlog, flushes the
   //    final partial batch and exits.
@@ -677,10 +584,6 @@ ServeReport Server::stop() {
   //    can watch the drain.
   http_.stop();
 
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
   // Disarm a tracer this server armed: it holds opts_.clock, which may not
   // outlive the server (tests inject stack-owned ManualClocks). Captured
   // spans stay readable; a CLI-armed capture (--trace-out) is left running.

@@ -47,6 +47,7 @@
 #include "core/governor.hpp"
 #include "core/ingest.hpp"
 #include "serve/http.hpp"
+#include "serve/net.hpp"
 #include "store/pattern_store.hpp"
 #include "util/bounded_queue.hpp"
 #include "util/clock.hpp"
@@ -140,7 +141,7 @@ class Server {
   bool start(std::string* error = nullptr);
 
   /// Ports actually bound (after start()); 0 when the listener is off.
-  int ingest_port() const { return ingest_port_; }
+  int ingest_port() const { return ingest_.port(); }
   int http_port() const { return http_.port(); }
 
   /// Blocking stdin-pipe reader run on the CALLER's thread: reads JSON
@@ -227,7 +228,6 @@ class Server {
   void lane_loop(std::size_t index);
   void flush_lane(core::Engine& engine, std::vector<core::LogRecord>& batch,
                   std::size_t index);
-  void accept_loop();
   void connection_loop(int fd);
   void checkpoint_loop();
   void evolution_loop();
@@ -235,6 +235,7 @@ class Server {
   /// Parses one line and shards it onto its lane. Returns false when the
   /// daemon is draining and producers should stop.
   bool ingest_line(std::string_view line, core::IngestStats& stats);
+  void note_malformed();
   /// `target` is the request path with any query string still attached.
   HttpResponse handle_http(const std::string& target);
   HttpResponse debug_patterns(std::size_t top);
@@ -255,13 +256,6 @@ class Server {
   std::unique_ptr<core::Governor> governor_;
   std::vector<std::unique_ptr<Lane>> lanes_;
   HttpResponder http_;
-
-  int listen_fd_ = -1;
-  int ingest_port_ = 0;
-  std::thread accept_thread_;
-  std::mutex conn_mutex_;
-  std::vector<int> conn_fds_;
-  std::vector<std::thread> conn_threads_;
 
   std::thread checkpoint_thread_;
   std::mutex checkpoint_mutex_;
@@ -297,6 +291,8 @@ class Server {
   mutable std::mutex progress_mutex_;
   mutable std::condition_variable progress_cv_;
   ServeReport final_report_;
+  /// Declared last: its connection threads use the members above.
+  Listener ingest_;
 };
 
 }  // namespace seqrtg::serve

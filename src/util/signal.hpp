@@ -3,8 +3,8 @@
 // SIGTERM/SIGINT must trigger a drain (close the listener, flush the lanes,
 // checkpoint the store) rather than kill the process mid-batch. The handler
 // itself can only do async-signal-safe work, so it sets a flag and writes
-// one byte to a self-pipe; poll()-based accept loops add the pipe's read
-// end to their fd set and wake immediately.
+// one byte to a self-pipe; the CLI's poll()-based wait loops add the
+// pipe's read end to their fd set and wake immediately.
 //
 // The state is process-global (signal dispositions are), so this is a
 // free-function module rather than a class. request_shutdown() triggers the
